@@ -1,6 +1,7 @@
 package core
 
 import (
+	"runtime"
 	"testing"
 	"time"
 
@@ -427,5 +428,26 @@ func TestClusterRegistryWired(t *testing.T) {
 	snap := cl.Reg.Snapshot()
 	if len(snap) != cl.Reg.Len() {
 		t.Fatalf("snapshot %d entries, registry %d", len(snap), cl.Reg.Len())
+	}
+}
+
+// TestBuildAndDrainLeavesNoGoroutines: cores run as engine callbacks,
+// so building a cluster starts far fewer goroutines than it has cores,
+// and Drain unwinds every process the build started even though the
+// engine never ran.
+func TestBuildAndDrainLeavesNoGoroutines(t *testing.T) {
+	base := runtime.NumGoroutine()
+	cl := NewCluster(Config{Mode: ModeIOctopus})
+	cores := cl.Server.Kernel.NumCores() + cl.Client.Kernel.NumCores()
+	if n := runtime.NumGoroutine() - base; n >= cores {
+		t.Fatalf("building a %d-core cluster started %d goroutines", cores, n)
+	}
+	cl.Drain()
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > base {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines after Drain, want %d", runtime.NumGoroutine(), base)
+		}
+		time.Sleep(time.Millisecond)
 	}
 }

@@ -112,12 +112,23 @@ type coreWork struct {
 // Interleaving threads, softirq and worker items by FIFO approximates
 // the preemptive scheduler closely enough for throughput accounting
 // while keeping the model deterministic.
+//
+// A core is not a process: its dispatch loop is a pair of engine
+// callbacks (wake and finish) driven by two flags, so running an item
+// costs engine events only, never a goroutine handoff.
 type Core struct {
 	k     *Kernel
 	id    topology.CoreID
 	node  topology.NodeID
 	queue *sim.Queue[coreWork]
 	busy  time.Duration
+
+	cur    coreWork // the in-flight item, until finish retires it
+	idle   bool     // no item in flight: the next put must wake the core
+	waking bool     // a wake event is already scheduled
+	// Cached method values, so scheduling a wake or a completion
+	// allocates nothing.
+	wakeFn, finishFn func()
 }
 
 // ID returns the core id.
@@ -135,34 +146,66 @@ func (c *Core) ResetBusy() { c.busy = 0 }
 // QueueLen returns the number of work items waiting.
 func (c *Core) QueueLen() int { return c.queue.Len() }
 
-// start launches the core's dispatch loop.
+// start arms the core's dispatch state machine. The start event acts
+// as the first wake, so work submitted before the engine runs begins at
+// time zero. From then on the schedule is: one wake per idle→busy edge,
+// one completion event per item, and each item's done at +0 after it.
 func (c *Core) start() {
-	c.k.eng.Go(fmt.Sprintf("core%d", c.id), func(p *sim.Proc) {
-		for {
-			w, ok := c.queue.Get(p)
-			if !ok {
-				return
-			}
-			d := w.run()
-			if d < 0 {
-				d = 0
-			}
-			c.busy += d
-			p.Sleep(d)
-			if w.done != nil {
-				// Fire completions from engine context so they can
-				// resume other processes without nesting handoffs.
-				c.k.eng.After(0, w.done)
-			}
-		}
-	})
+	c.wakeFn, c.finishFn = c.wake, c.finish
+	c.idle, c.waking = true, true
+	c.k.eng.After(0, c.wakeFn)
+}
+
+// put enqueues one work item, waking the core if it is idle. Submit,
+// IRQLine.Raise and the Poller's resubmission all come through here.
+func (c *Core) put(w coreWork) {
+	c.queue.ForcePut(w)
+	if c.idle && !c.waking {
+		c.waking = true
+		c.k.eng.After(0, c.wakeFn)
+	}
+}
+
+func (c *Core) wake() {
+	c.waking = false
+	c.next()
+}
+
+// finish retires the in-flight item: its done fires from its own
+// zero-delay event (so it can resume a thread without nesting inside
+// the dispatch), and the next queued item starts in this callback.
+func (c *Core) finish() {
+	if done := c.cur.done; done != nil {
+		c.k.eng.After(0, done)
+	}
+	c.cur = coreWork{}
+	c.next()
+}
+
+// next runs the head item, or marks the core idle if there is none.
+// The core is busy before run is called, so work that run submits to
+// this core queues behind it instead of scheduling a wake.
+func (c *Core) next() {
+	w, ok := c.queue.TryGet()
+	if !ok {
+		c.idle = true
+		return
+	}
+	c.idle = false
+	c.cur = w
+	d := w.run()
+	if d < 0 {
+		d = 0
+	}
+	c.busy += d
+	c.k.eng.After(d, c.finishFn)
 }
 
 // Submit enqueues work whose duration is computed when it starts
 // running (so memory-system charges happen at execution time). done
 // fires when it completes.
 func (c *Core) Submit(name string, run func() time.Duration, done func()) {
-	c.queue.ForcePut(coreWork{name: name, run: run, done: done})
+	c.put(coreWork{name: name, run: run, done: done})
 }
 
 // SubmitFixed enqueues work of a known duration.
@@ -212,5 +255,5 @@ func (c *Core) NewIRQLine(name string, handler func() time.Duration) *IRQLine {
 
 // Raise delivers the interrupt (equivalent to Core.IRQ, allocation-free).
 func (l *IRQLine) Raise() {
-	l.c.queue.ForcePut(coreWork{name: l.name, run: l.run})
+	l.c.put(coreWork{name: l.name, run: l.run})
 }

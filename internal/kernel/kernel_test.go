@@ -10,7 +10,7 @@ import (
 	"ioctopus/internal/topology"
 )
 
-func newKernel(t *testing.T) (*sim.Engine, *Kernel) {
+func newKernel(t testing.TB) (*sim.Engine, *Kernel) {
 	t.Helper()
 	e := sim.NewEngine()
 	srv := topology.DualBroadwell()
@@ -193,5 +193,207 @@ func TestMigrationChargesContextSwitch(t *testing.T) {
 	if k.Core(14).BusyTime() < DefaultParams().ContextSwitch {
 		t.Fatalf("destination core busy = %v, want >= context switch", k.Core(14).BusyTime())
 	}
+	e.Drain()
+}
+
+// TestCoreFIFOAcrossEntryPoints: Submit, IRQLine.Raise and Stall all
+// feed one FIFO run queue.
+func TestCoreFIFOAcrossEntryPoints(t *testing.T) {
+	e, k := newKernel(t)
+	c := k.Core(2)
+	var order []string
+	var starts []sim.Time
+	mark := func(name string, d time.Duration) func() time.Duration {
+		return func() time.Duration {
+			order = append(order, name)
+			starts = append(starts, e.Now())
+			return d
+		}
+	}
+	irq := c.NewIRQLine("nic", mark("irq", 2*time.Microsecond))
+	e.At(0, func() {
+		c.Submit("a", mark("a", time.Microsecond), nil)
+		irq.Raise()
+		c.Stall(10 * time.Microsecond)
+		c.Submit("b", mark("b", time.Microsecond), nil)
+	})
+	e.RunUntilIdle()
+	entry := DefaultParams().IRQEntry
+	wantStarts := []sim.Time{0, sim.Time(time.Microsecond), sim.Time(3*time.Microsecond + entry + 10*time.Microsecond)}
+	if len(order) != 3 || order[0] != "a" || order[1] != "irq" || order[2] != "b" {
+		t.Fatalf("order = %v, want [a irq b]", order)
+	}
+	for i, want := range wantStarts {
+		if starts[i] != want {
+			t.Fatalf("%s started at %v, want %v", order[i], starts[i], want)
+		}
+	}
+	e.Drain()
+}
+
+// TestSubmitFromRunAndDone: work submitted by a running item queues
+// behind it, and work submitted from a done callback starts when the
+// core next frees up — neither runs early or is lost.
+func TestSubmitFromRunAndDone(t *testing.T) {
+	e, k := newKernel(t)
+	c := k.Core(0)
+	starts := map[string]sim.Time{}
+	item := func(name string, d time.Duration, then func()) func() time.Duration {
+		return func() time.Duration {
+			starts[name] = e.Now()
+			if then != nil {
+				then()
+			}
+			return d
+		}
+	}
+	e.At(0, func() {
+		c.Submit("a", item("a", 4*time.Microsecond, func() {
+			c.Submit("fromRun", item("fromRun", 2*time.Microsecond, nil), func() {
+				c.Submit("fromDone", item("fromDone", time.Microsecond, nil), nil)
+			})
+		}), nil)
+	})
+	e.RunUntilIdle()
+	want := map[string]sim.Time{
+		"a":        0,
+		"fromRun":  sim.Time(4 * time.Microsecond),
+		"fromDone": sim.Time(6 * time.Microsecond),
+	}
+	for name, at := range want {
+		if got, ok := starts[name]; !ok || got != at {
+			t.Errorf("%s started at %v (ran=%v), want %v", name, got, ok, at)
+		}
+	}
+	if got := c.BusyTime(); got != 7*time.Microsecond {
+		t.Errorf("busy = %v, want 7us", got)
+	}
+	e.Drain()
+}
+
+// TestDoneFiresAtCompletionViaZeroDelayEvent: an item's done runs at
+// its completion time but in an event of its own, after the completion
+// has already started the next queued item.
+func TestDoneFiresAtCompletionViaZeroDelayEvent(t *testing.T) {
+	e, k := newKernel(t)
+	c := k.Core(0)
+	var doneAt, nextAt sim.Time
+	var doneEvent, nextEvent uint64
+	e.At(0, func() {
+		c.SubmitFixed("a", 10*time.Microsecond, func() {
+			doneAt, doneEvent = e.Now(), e.Executed
+		})
+		c.Submit("b", func() time.Duration {
+			nextAt, nextEvent = e.Now(), e.Executed
+			return time.Microsecond
+		}, nil)
+	})
+	e.RunUntilIdle()
+	if doneAt != sim.Time(10*time.Microsecond) || nextAt != doneAt {
+		t.Fatalf("done at %v, next item at %v, want both at 10us", doneAt, nextAt)
+	}
+	if doneEvent != nextEvent+1 {
+		t.Fatalf("done ran in event %d, next item in event %d: want done one event later", doneEvent, nextEvent)
+	}
+	e.Drain()
+}
+
+// TestOneWakePerIdleToBusyEdge counts engine events: a burst of
+// submits to an idle core costs one wake plus one completion per item,
+// however many items the burst holds.
+func TestOneWakePerIdleToBusyEdge(t *testing.T) {
+	e, k := newKernel(t)
+	c := k.Core(0)
+	e.RunUntilIdle() // every core's start event
+	base := e.Executed
+	e.At(e.Now(), func() { // 1 event
+		for i := 0; i < 3; i++ {
+			c.SubmitFixed("burst", time.Microsecond, nil)
+		}
+	}) // + 1 wake + 3 completions
+	e.At(e.Now().Add(time.Millisecond), func() { // 1 event
+		c.SubmitFixed("solo", time.Microsecond, nil)
+		c.Stall(time.Microsecond)
+	}) // + 1 wake + 2 completions
+	e.RunUntilIdle()
+	if got := e.Executed - base; got != 9 {
+		t.Fatalf("executed %d events, want 9 (two submitting events, two wakes, five completions)", got)
+	}
+	e.Drain()
+}
+
+// TestPollerInterleavesWithIRQ: an interrupt raised mid-iteration runs
+// as soon as that iteration completes, and the poll loop resumes after
+// the handler.
+func TestPollerInterleavesWithIRQ(t *testing.T) {
+	e, k := newKernel(t)
+	c := k.Core(0)
+	var polls []sim.Time
+	var irqAt sim.Time
+	p := c.StartPoller("q0", func() time.Duration {
+		polls = append(polls, e.Now())
+		return time.Microsecond
+	})
+	irq := c.NewIRQLine("nic", func() time.Duration {
+		irqAt = e.Now()
+		return 2 * time.Microsecond
+	})
+	e.At(sim.Time(2500*time.Nanosecond), irq.Raise)
+	e.Run(sim.Time(10 * time.Microsecond))
+	p.Stop()
+	e.RunUntilIdle()
+	if irqAt != sim.Time(3*time.Microsecond) {
+		t.Fatalf("irq handler ran at %v, want 3us (end of the running iteration)", irqAt)
+	}
+	resume := sim.Time(3*time.Microsecond + DefaultParams().IRQEntry + 2*time.Microsecond)
+	if polls[3] != resume {
+		t.Fatalf("fourth poll at %v, want %v (after the handler)", polls[3], resume)
+	}
+	e.Drain()
+}
+
+// TestPollerStopMidIteration: Stop during an iteration lets it finish
+// and resubmits nothing, so the core goes idle and the engine drains.
+func TestPollerStopMidIteration(t *testing.T) {
+	e, k := newKernel(t)
+	c := k.Core(0)
+	p := c.StartPoller("q0", func() time.Duration { return time.Microsecond })
+	e.At(sim.Time(2500*time.Nanosecond), p.Stop)
+	e.RunUntilIdle()
+	if p.Iterations() != 3 {
+		t.Fatalf("iterations = %d, want 3", p.Iterations())
+	}
+	if c.BusyTime() != 3*time.Microsecond || e.Now() != sim.Time(3*time.Microsecond) {
+		t.Fatalf("busy = %v, idle at %v; want 3us and 3us", c.BusyTime(), e.Now())
+	}
+	if !p.Stopped() || c.QueueLen() != 0 {
+		t.Fatalf("stopped = %v, queue = %d", p.Stopped(), c.QueueLen())
+	}
+	e.Drain()
+}
+
+// BenchmarkCoreDispatch prices one work item through a core's dispatch
+// state machine — wake, run, completion, done — with each item's done
+// submitting the next, the busy-poll loop's shape. The steady state
+// allocates nothing.
+func BenchmarkCoreDispatch(b *testing.B) {
+	e, k := newKernel(b)
+	c := k.Core(0)
+	run := func() time.Duration { return time.Microsecond }
+	left := 1 // warm-up item: grows the run queue and event arena once
+	var done func()
+	done = func() {
+		if left--; left > 0 {
+			c.Submit("item", run, done)
+		}
+	}
+	c.Submit("item", run, done)
+	e.RunUntilIdle()
+	left = b.N
+	b.ReportAllocs()
+	b.ResetTimer()
+	c.Submit("item", run, done)
+	e.RunUntilIdle()
+	b.StopTimer()
 	e.Drain()
 }

@@ -15,10 +15,12 @@ import (
 // injection) FIFO-interleaves with the poll iterations instead of
 // starving.
 //
-// The loop self-resubmits through the iteration's completion callback
-// rather than running as a Thread: three events per iteration (queue
-// put, sleep, completion), all allocation-free (coreWork is a value
-// type and the run/resubmit closures are built once here).
+// The loop self-resubmits through the iteration's done callback rather
+// than running as a Thread. On an otherwise idle core each iteration
+// costs three engine events: the completion, the done at +0 that
+// resubmits, and the wake that the resubmission's idle→busy edge
+// schedules. All are allocation-free: coreWork is a value type and the
+// run/resubmit closures are built once here.
 type Poller struct {
 	c       *Core
 	name    string
@@ -65,7 +67,7 @@ func (c *Core) StartPoller(name string, body func() time.Duration) *Poller {
 		if p.stopped {
 			return
 		}
-		c.queue.ForcePut(coreWork{name: p.name, run: p.run, done: p.resub})
+		c.put(coreWork{name: p.name, run: p.run, done: p.resub})
 	}
 	p.resub()
 	return p

@@ -255,53 +255,6 @@ func TestPipeFluidDemandCap(t *testing.T) {
 	}
 }
 
-func TestServerFIFO(t *testing.T) {
-	e := NewEngine()
-	s := NewServer(e, "srv")
-	var t1, t2 Time
-	s.Submit(100*Nanosecond, func() { t1 = e.Now() })
-	s.Submit(50*Nanosecond, func() { t2 = e.Now() })
-	e.RunUntilIdle()
-	if t1 != Time(100) || t2 != Time(150) {
-		t.Fatalf("t1=%v t2=%v, want 100/150", t1, t2)
-	}
-	if s.BusyTime() != 150*Nanosecond {
-		t.Fatalf("busy = %v, want 150ns", s.BusyTime())
-	}
-	if s.Jobs() != 2 {
-		t.Fatalf("jobs = %d, want 2", s.Jobs())
-	}
-}
-
-func TestServerIdleGap(t *testing.T) {
-	e := NewEngine()
-	s := NewServer(e, "srv")
-	s.Submit(10*Nanosecond, nil)
-	e.RunUntilIdle()
-	var done Time
-	e.At(Time(100), func() { s.Submit(10*Nanosecond, func() { done = e.Now() }) })
-	e.RunUntilIdle()
-	if done != Time(110) {
-		t.Fatalf("done = %v, want 110 (no booking across idle gap)", done)
-	}
-}
-
-func TestServerBacklog(t *testing.T) {
-	e := NewEngine()
-	s := NewServer(e, "srv")
-	e.At(Time(0), func() {
-		s.Submit(100*Nanosecond, nil)
-		s.Submit(100*Nanosecond, nil)
-		if s.Backlog() != 200*Nanosecond {
-			t.Errorf("backlog = %v, want 200ns", s.Backlog())
-		}
-	})
-	e.RunUntilIdle()
-	if s.Backlog() != 0 {
-		t.Fatalf("backlog after drain = %v, want 0", s.Backlog())
-	}
-}
-
 func TestRNGDeterminismAndFork(t *testing.T) {
 	a, b := NewRNG(7), NewRNG(7)
 	for i := 0; i < 100; i++ {

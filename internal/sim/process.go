@@ -50,7 +50,13 @@ func (e *Engine) Go(name string, fn func(p *Proc)) *Proc {
 				panic(r)
 			}
 		}()
-		<-p.wake
+		// Wait for the start event like yield waits for a resume, so a
+		// Drain before the process ever ran still unwinds it.
+		select {
+		case <-p.wake:
+		case <-p.killed:
+			panic(killedError{p.name})
+		}
 		fn(p)
 		p.finish()
 	}()

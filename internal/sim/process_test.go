@@ -1,7 +1,9 @@
 package sim
 
 import (
+	"runtime"
 	"testing"
+	"time"
 )
 
 func TestProcSleep(t *testing.T) {
@@ -168,6 +170,52 @@ func TestDrainKillsParkedProcs(t *testing.T) {
 	if reached {
 		t.Fatal("killed process continued past Wait")
 	}
+}
+
+// TestDrainUnwindsProcsThatNeverRan: a process whose start event was
+// never dispatched is parked too, and Drain must unwind its goroutine.
+func TestDrainUnwindsProcsThatNeverRan(t *testing.T) {
+	base := runtime.NumGoroutine()
+	e := NewEngine()
+	ran := false
+	for i := 0; i < 16; i++ {
+		e.Go("unstarted", func(p *Proc) { ran = true })
+	}
+	e.Drain()
+	if ran {
+		t.Fatal("a drained process ran")
+	}
+	waitGoroutines(t, base)
+}
+
+// waitGoroutines waits for killed process goroutines, which unwind
+// asynchronously after Drain, until at most want remain.
+func waitGoroutines(t *testing.T, want int) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > want {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines after Drain, want %d", runtime.NumGoroutine(), want)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// BenchmarkProcHandoff prices one blocking-style step of a sim.Proc: the
+// engine resumes the process and the process sleeps again, a channel
+// handoff each way.
+func BenchmarkProcHandoff(b *testing.B) {
+	e := NewEngine()
+	e.Go("spin", func(p *Proc) {
+		for i := 0; i < b.N; i++ {
+			p.Sleep(Nanosecond)
+		}
+	})
+	b.ReportAllocs()
+	b.ResetTimer()
+	e.RunUntilIdle()
+	b.StopTimer()
+	e.Drain()
 }
 
 func TestQueuePutGet(t *testing.T) {

@@ -97,11 +97,13 @@ cmp "$tmp/fuzz1.txt" "$tmp/fuzz_sharded.txt"
 evr_max="$(sed -n 's/.*"BenchmarkSimulatorEventRate_max_allocs_per_op": *\([0-9]*\).*/\1/p' BENCH_sim.json)"
 pp_max="$(sed -n 's/.*"BenchmarkPacketPath_max_allocs_per_op": *\([0-9]*\).*/\1/p' BENCH_sim.json)"
 bp_max="$(sed -n 's/.*"BenchmarkBusyPollPath_max_allocs_per_op": *\([0-9]*\).*/\1/p' BENCH_sim.json)"
-if test -z "$evr_max" || test -z "$pp_max" || test -z "$bp_max"; then
+cd_max="$(sed -n 's/.*"BenchmarkCoreDispatch_max_allocs_per_op": *\([0-9]*\).*/\1/p' BENCH_sim.json)"
+if test -z "$evr_max" || test -z "$pp_max" || test -z "$bp_max" || test -z "$cd_max"; then
     echo "check.sh: BENCH_sim.json is missing its gate keys" \
         "(BenchmarkSimulatorEventRate_max_allocs_per_op," \
         "BenchmarkPacketPath_max_allocs_per_op," \
-        "BenchmarkBusyPollPath_max_allocs_per_op); regenerate with" \
+        "BenchmarkBusyPollPath_max_allocs_per_op," \
+        "BenchmarkCoreDispatch_max_allocs_per_op); regenerate with" \
         "'make bench' and restore the gate section" >&2
     exit 1
 fi
@@ -119,3 +121,13 @@ awk -v evr_max="$evr_max" -v pp_max="$pp_max" -v bp_max="$bp_max" '
     if (!seen_evr || !seen_pp || !seen_bp) { print "bench gate: benchmark output missing"; bad = 1 }
     exit bad
   }' "$tmp/bench.txt"
+# The core dispatch state machine (kernel.Core's wake/finish callbacks)
+# is gated on its own: one work item through a core allocates nothing.
+go test -run '^$' -bench 'BenchmarkCoreDispatch$' -benchmem ./internal/kernel | tee "$tmp/bench_kernel.txt"
+awk -v cd_max="$cd_max" '
+  /^BenchmarkCoreDispatch/ { seen = 1; a = $(NF-1) + 0
+    if (a > cd_max) { printf "bench gate: CoreDispatch %d allocs/op > %d\n", a, cd_max; bad = 1 } }
+  END {
+    if (!seen) { print "bench gate: CoreDispatch benchmark output missing"; bad = 1 }
+    exit bad
+  }' "$tmp/bench_kernel.txt"
