@@ -121,7 +121,11 @@ type Core struct {
 	id    topology.CoreID
 	node  topology.NodeID
 	queue *sim.Queue[coreWork]
-	busy  time.Duration
+	// busy is charged with an item's whole duration when it starts;
+	// busyEnd is when the in-flight item completes, so readers can take
+	// back the part that has not elapsed yet.
+	busy    time.Duration
+	busyEnd sim.Time
 
 	cur    coreWork // the in-flight item, until finish retires it
 	idle   bool     // no item in flight: the next put must wake the core
@@ -137,11 +141,22 @@ func (c *Core) ID() topology.CoreID { return c.id }
 // Node returns the core's NUMA node.
 func (c *Core) Node() topology.NodeID { return c.node }
 
-// BusyTime returns accumulated execution time.
-func (c *Core) BusyTime() time.Duration { return c.busy }
+// BusyTime returns the execution time accumulated up to now: an item
+// in flight counts only for the part of it that has elapsed, so busy
+// time never exceeds elapsed time.
+func (c *Core) BusyTime() time.Duration { return c.busy - c.inFlight() }
 
-// ResetBusy zeroes the busy-time integral (measurement windows).
-func (c *Core) ResetBusy() { c.busy = 0 }
+// ResetBusy starts a new busy-time window (measurement windows). The
+// unelapsed remainder of an item in flight belongs to the new window.
+func (c *Core) ResetBusy() { c.busy = c.inFlight() }
+
+// inFlight is the part of the running item's duration still ahead.
+func (c *Core) inFlight() time.Duration {
+	if now := c.k.eng.Now(); c.busyEnd > now {
+		return c.busyEnd.Sub(now)
+	}
+	return 0
+}
 
 // QueueLen returns the number of work items waiting.
 func (c *Core) QueueLen() int { return c.queue.Len() }
@@ -198,6 +213,7 @@ func (c *Core) next() {
 		d = 0
 	}
 	c.busy += d
+	c.busyEnd = c.k.eng.Now().Add(d)
 	c.k.eng.After(d, c.finishFn)
 }
 

@@ -176,6 +176,32 @@ func TestResetBusy(t *testing.T) {
 	e.Drain()
 }
 
+// TestBusyTimeTracksElapsedTime: a saturated core reads busy for
+// exactly the time that has elapsed, even with an item in flight at a
+// ResetBusy and at the window's end, and never reads more.
+func TestBusyTimeTracksElapsedTime(t *testing.T) {
+	e, k := newKernel(t)
+	c := k.Core(0)
+	p := c.StartPoller("spin", func() time.Duration { return 3 * time.Microsecond })
+	var windowStart sim.Time
+	for at := sim.Time(0); at <= sim.Time(25*time.Microsecond); at += sim.Time(500 * time.Nanosecond) {
+		e.At(at, func() {
+			if busy, elapsed := c.BusyTime(), e.Now().Sub(windowStart); busy != elapsed {
+				t.Errorf("at %v: busy %v, want elapsed %v", e.Now(), busy, elapsed)
+			}
+		})
+	}
+	e.Run(sim.Time(10 * time.Microsecond)) // mid-iteration: [9us, 12us)
+	c.ResetBusy()
+	windowStart = e.Now()
+	e.Run(sim.Time(25 * time.Microsecond)) // mid-iteration: [24us, 27us)
+	if got := c.BusyTime(); got != 15*time.Microsecond {
+		t.Fatalf("busy over the window = %v, want exactly 15us", got)
+	}
+	p.Stop()
+	e.Drain()
+}
+
 func TestAllocIsNodeHomed(t *testing.T) {
 	e, k := newKernel(t)
 	b := k.Alloc("buf", 1, 4096)
