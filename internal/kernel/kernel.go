@@ -127,9 +127,9 @@ type Core struct {
 	busy    time.Duration
 	busyEnd sim.Time
 
-	cur    coreWork // the in-flight item, until finish retires it
-	idle   bool     // no item in flight: the next put must wake the core
-	waking bool     // a wake event is already scheduled
+	curDone func() // the in-flight item's done, fired by finish
+	idle    bool   // no item in flight: the next put must wake the core
+	waking  bool   // a wake event is already scheduled
 	// Cached method values, so scheduling a wake or a completion
 	// allocates nothing.
 	wakeFn, finishFn func()
@@ -190,10 +190,9 @@ func (c *Core) wake() {
 // zero-delay event (so it can resume a thread without nesting inside
 // the dispatch), and the next queued item starts in this callback.
 func (c *Core) finish() {
-	if done := c.cur.done; done != nil {
-		c.k.eng.After(0, done)
+	if c.curDone != nil {
+		c.k.eng.After(0, c.curDone)
 	}
-	c.cur = coreWork{}
 	c.next()
 }
 
@@ -203,11 +202,10 @@ func (c *Core) finish() {
 func (c *Core) next() {
 	w, ok := c.queue.TryGet()
 	if !ok {
-		c.idle = true
+		c.idle, c.curDone = true, nil
 		return
 	}
-	c.idle = false
-	c.cur = w
+	c.idle, c.curDone = false, w.done
 	d := w.run()
 	if d < 0 {
 		d = 0
