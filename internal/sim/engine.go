@@ -6,9 +6,10 @@
 // fixed seed is exactly reproducible.
 //
 // Two programming styles are supported: plain event callbacks
-// (Engine.At/After) and blocking processes (Engine.Go) that execute on
-// goroutines but are resumed one at a time by the engine, SimPy style, so
-// determinism is preserved.
+// (Engine.At/After) and blocking processes (Engine.Go) that execute as
+// runtime coroutines (iter.Pull) resumed one at a time by the engine,
+// SimPy style, so determinism is preserved. A resume or a yield is one
+// direct coroutine switch; the Go scheduler is not involved.
 //
 // The event queue is an inlined value-based 4-ary min-heap ordered by
 // (at, sub, seq): events at the same instant dispatch in the order they
@@ -415,10 +416,12 @@ func (e *Engine) Stop() { e.stopped = true }
 func (e *Engine) Pending() int { return e.live }
 
 // Drain terminates all parked processes. Call when a run is finished so
-// process goroutines do not leak; after Drain the engine must not be used.
+// process coroutines do not leak; after Drain the engine must not be
+// used. Unwinding is synchronous: when Drain returns, every killed
+// process's deferred calls have run and its coroutine is gone.
 func (e *Engine) Drain() {
 	for _, p := range e.procList {
-		p.kill()
+		p.stop()
 	}
 	e.procs = make(map[*Proc]int)
 	e.procList = nil

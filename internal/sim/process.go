@@ -2,21 +2,22 @@ package sim
 
 import (
 	"fmt"
+	"iter"
 	"time"
 )
 
 // Proc is a simulated process: model code written in a blocking style
-// (Sleep, Wait, queue Get/Put) that runs on its own goroutine. The engine
-// resumes exactly one process at a time, so process code needs no locking
-// and runs deterministically.
+// (Sleep, Wait, queue Get/Put) that runs as a runtime coroutine
+// (iter.Pull). The engine resumes exactly one process at a time, and a
+// resume or yield is one direct coroutine switch, not a trip through
+// the Go scheduler, so process code needs no locking and runs
+// deterministically.
 type Proc struct {
-	eng      *Engine
-	name     string
-	wake     chan struct{} // engine -> process: resume
-	park     chan struct{} // process -> engine: yielded or finished
-	killed   chan struct{}
-	killSent bool // engine-side: killed channel closed
-	dead     bool // process-side: unwound or finished
+	eng     *Engine
+	name    string
+	next    func() (struct{}, bool) // engine -> process: run to the next yield
+	stop    func()                  // kill: unwind the process before returning
+	yieldFn func(struct{}) bool     // process -> engine; false once stopped
 	// resumeFn caches the resume method value so the (very frequent)
 	// Sleep/Wait/Broadcast paths don't allocate a closure per call.
 	resumeFn func()
@@ -29,37 +30,28 @@ func (k killedError) Error() string { return "sim: process " + k.name + " killed
 
 // Go starts fn as a simulated process at the current simulation time.
 // The process begins running when the engine dispatches its start event.
+// A panic in fn (other than the kill unwind) propagates out of the
+// resume that ran it, and so out of Engine.Run.
 func (e *Engine) Go(name string, fn func(p *Proc)) *Proc {
-	p := &Proc{
-		eng:    e,
-		name:   name,
-		wake:   make(chan struct{}),
-		park:   make(chan struct{}),
-		killed: make(chan struct{}),
-	}
+	p := &Proc{eng: e, name: name}
 	p.resumeFn = p.resume
 	e.procs[p] = len(e.procList)
 	e.procList = append(e.procList, p)
-	go func() {
+	// A coroutine stopped before its first resume never runs its body,
+	// so a Drain before the start event still unwinds the process.
+	p.next, p.stop = iter.Pull(func(yield func(struct{}) bool) {
 		defer func() {
 			if r := recover(); r != nil {
 				if _, ok := r.(killedError); ok {
-					p.dead = true
 					return // silent unwind of a killed process
 				}
 				panic(r)
 			}
 		}()
-		// Wait for the start event like yield waits for a resume, so a
-		// Drain before the process ever ran still unwinds it.
-		select {
-		case <-p.wake:
-		case <-p.killed:
-			panic(killedError{p.name})
-		}
+		p.yieldFn = yield
 		fn(p)
 		p.finish()
-	}()
+	})
 	e.After(0, p.resumeFn)
 	return p
 }
@@ -73,31 +65,24 @@ func (p *Proc) Name() string { return p.name }
 // Now returns the current simulation time.
 func (p *Proc) Now() Time { return p.eng.Now() }
 
-// resume hands control to the process goroutine and blocks the engine
-// until the process yields or finishes. Must run in engine context.
-func (p *Proc) resume() {
-	if p.dead {
-		return
-	}
-	p.wake <- struct{}{}
-	<-p.park
-}
+// resume switches to the process coroutine and returns when the process
+// yields or finishes. Must run in engine context, which may be any
+// goroutine (a Group shard's, say) as long as no two resume the process
+// at once. Resuming a finished or killed process is a no-op.
+func (p *Proc) resume() { p.next() }
 
 // yield returns control to the engine. The process must have arranged to
 // be resumed (scheduled a wakeup or registered on a signal/queue) before
-// calling yield, or it will sleep forever.
+// calling yield, or it will sleep forever. If the process is killed
+// while parked, yield unwinds it with a killedError panic.
 func (p *Proc) yield() {
-	p.park <- struct{}{}
-	select {
-	case <-p.wake:
-	case <-p.killed:
+	if !p.yieldFn(struct{}{}) {
 		panic(killedError{p.name})
 	}
 }
 
-// finish marks the process complete and releases the engine.
+// finish unregisters a process whose body has returned.
 func (p *Proc) finish() {
-	p.dead = true
 	if i, ok := p.eng.procs[p]; ok {
 		last := len(p.eng.procList) - 1
 		moved := p.eng.procList[last]
@@ -107,24 +92,14 @@ func (p *Proc) finish() {
 		p.eng.procList = p.eng.procList[:last]
 		delete(p.eng.procs, p)
 	}
-	p.park <- struct{}{}
 }
 
-// kill unblocks a parked process and unwinds it. Engine context only.
-// The process goroutine marks itself dead while unwinding; kill only
-// tracks (engine-side) that the channel is closed, so the two sides
-// never write shared state concurrently.
-func (p *Proc) kill() {
-	if p.killSent {
-		return
-	}
-	p.killSent = true
-	close(p.killed)
-}
-
-// Resume hands control back to a process parked with Yield. It must be
-// invoked from engine event context (an event callback, or passed as a
-// completion callback to a component that fires it from one).
+// Resume hands control back to a process parked with Yield and returns
+// when that process yields again or finishes. It must be invoked from
+// engine event context (an event callback, or passed as a completion
+// callback to a component that fires it from one) or from another
+// process's code, which is then suspended until the resumed process
+// yields, so only one process runs at a time.
 func (p *Proc) Resume() { p.resume() }
 
 // ResumeFunc returns the cached resume callback (the same function every

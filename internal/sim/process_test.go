@@ -2,8 +2,8 @@ package sim
 
 import (
 	"runtime"
+	"strings"
 	"testing"
-	"time"
 )
 
 func TestProcSleep(t *testing.T) {
@@ -173,7 +173,11 @@ func TestDrainKillsParkedProcs(t *testing.T) {
 }
 
 // TestDrainUnwindsProcsThatNeverRan: a process whose start event was
-// never dispatched is parked too, and Drain must unwind its goroutine.
+// never dispatched is parked too, and Drain must unwind its coroutine.
+// Unwinding is synchronous, so the check needs no wait. The count is
+// compared with <= base, not == base: the previous test's runner
+// goroutine may still be exiting when base is read, but only a process
+// outliving Drain can raise the count above it.
 func TestDrainUnwindsProcsThatNeverRan(t *testing.T) {
 	base := runtime.NumGoroutine()
 	e := NewEngine()
@@ -185,25 +189,93 @@ func TestDrainUnwindsProcsThatNeverRan(t *testing.T) {
 	if ran {
 		t.Fatal("a drained process ran")
 	}
-	waitGoroutines(t, base)
+	if n := runtime.NumGoroutine(); n > base {
+		t.Fatalf("%d goroutines after Drain, want at most %d", n, base)
+	}
 }
 
-// waitGoroutines waits for killed process goroutines, which unwind
-// asynchronously after Drain, until at most want remain.
-func waitGoroutines(t *testing.T, want int) {
-	t.Helper()
-	deadline := time.Now().Add(5 * time.Second)
-	for runtime.NumGoroutine() > want {
-		if time.Now().After(deadline) {
-			t.Fatalf("%d goroutines after Drain, want %d", runtime.NumGoroutine(), want)
-		}
-		time.Sleep(time.Millisecond)
+// TestDrainRunsDefersSynchronously: a killed process unwinds before
+// Drain returns — its deferred calls have run and its goroutine is gone.
+func TestDrainRunsDefersSynchronously(t *testing.T) {
+	base := runtime.NumGoroutine()
+	e := NewEngine()
+	var unwound []string
+	for _, name := range []string{"a", "b", "c"} {
+		e.Go(name, func(p *Proc) {
+			defer func() { unwound = append(unwound, p.Name()) }()
+			NewSignal(e).Wait(p) // never broadcast
+			t.Errorf("%s continued past Wait", p.Name())
+		})
+	}
+	e.Run(Time(1000))
+	if len(unwound) != 0 {
+		t.Fatalf("unwound = %v before Drain", unwound)
+	}
+	e.Drain()
+	if got := strings.Join(unwound, ","); got != "a,b,c" {
+		t.Fatalf("unwound = %q after Drain, want a,b,c (registration order)", got)
+	}
+	if n := runtime.NumGoroutine(); n > base {
+		t.Fatalf("%d goroutines after Drain, want at most %d", n, base)
+	}
+}
+
+// TestProcPanicReachesRun: a panic in process code (anything but the
+// kill unwind) propagates out of Engine.Run with its original value.
+func TestProcPanicReachesRun(t *testing.T) {
+	type boom struct{ at Time }
+	e := NewEngine()
+	e.Go("faulty", func(p *Proc) {
+		p.Sleep(10 * Nanosecond)
+		panic(boom{p.Now()})
+	})
+	func() {
+		defer func() {
+			r := recover()
+			if b, ok := r.(boom); !ok || b.at != Time(10) {
+				t.Fatalf("recovered %#v from Run, want boom{10}", r)
+			}
+		}()
+		e.Run(Time(1000))
+		t.Fatal("Run returned without panicking")
+	}()
+	e.Drain()
+}
+
+// TestProcDirectResume: a process may resume another process directly.
+// Control passes to the resumed process until it yields or finishes,
+// then returns to the resumer, one process at a time.
+func TestProcDirectResume(t *testing.T) {
+	e := NewEngine()
+	var log []string
+	e.Go("parent", func(p *Proc) {
+		log = append(log, "p0")
+		child := e.Go("child", func(c *Proc) {
+			log = append(log, "c0")
+			c.Yield() // parked until the parent resumes it
+			log = append(log, "c1")
+			c.Yield()
+			log = append(log, "c2")
+		})
+		p.Sleep(10 * Nanosecond) // the child's start event runs first
+		log = append(log, "p1")
+		child.Resume()
+		log = append(log, "p2")
+		child.Resume()
+		log = append(log, "p3")
+		child.Resume() // finished: a no-op
+		log = append(log, "p4")
+	})
+	e.RunUntilIdle()
+	want := "p0,c0,p1,c1,p2,c2,p3,p4"
+	if got := strings.Join(log, ","); got != want {
+		t.Fatalf("log = %s, want %s", got, want)
 	}
 }
 
 // BenchmarkProcHandoff prices one blocking-style step of a sim.Proc: the
-// engine resumes the process and the process sleeps again, a channel
-// handoff each way.
+// engine resumes the process and the process sleeps again, one coroutine
+// switch each way.
 func BenchmarkProcHandoff(b *testing.B) {
 	e := NewEngine()
 	e.Go("spin", func(p *Proc) {

@@ -23,7 +23,9 @@ go run ./cmd/octolint
 # which runs fig2 + chaos on concurrent shard goroutines.
 # internal/driver rides along for the watchdog: its ladder and poller
 # fallback tests exercise the recovery timers under the race detector.
-go test -race ./internal/sim/... ./internal/metrics/... ./internal/experiments/... ./internal/faults/... ./internal/driver/...
+# internal/kernel runs thread Exec/Sleep/Wait resumes driven from core
+# callbacks, so the detector sees every sim.Proc coroutine switch there.
+go test -race ./internal/sim/... ./internal/metrics/... ./internal/experiments/... ./internal/faults/... ./internal/driver/... ./internal/kernel/...
 go test ./...
 
 # JSON schema gate: emit a real report and require it to validate.
@@ -98,12 +100,14 @@ evr_max="$(sed -n 's/.*"BenchmarkSimulatorEventRate_max_allocs_per_op": *\([0-9]
 pp_max="$(sed -n 's/.*"BenchmarkPacketPath_max_allocs_per_op": *\([0-9]*\).*/\1/p' BENCH_sim.json)"
 bp_max="$(sed -n 's/.*"BenchmarkBusyPollPath_max_allocs_per_op": *\([0-9]*\).*/\1/p' BENCH_sim.json)"
 cd_max="$(sed -n 's/.*"BenchmarkCoreDispatch_max_allocs_per_op": *\([0-9]*\).*/\1/p' BENCH_sim.json)"
-if test -z "$evr_max" || test -z "$pp_max" || test -z "$bp_max" || test -z "$cd_max"; then
+ph_max="$(sed -n 's/.*"BenchmarkProcHandoff_max_allocs_per_op": *\([0-9]*\).*/\1/p' BENCH_sim.json)"
+if test -z "$evr_max" || test -z "$pp_max" || test -z "$bp_max" || test -z "$cd_max" || test -z "$ph_max"; then
     echo "check.sh: BENCH_sim.json is missing its gate keys" \
         "(BenchmarkSimulatorEventRate_max_allocs_per_op," \
         "BenchmarkPacketPath_max_allocs_per_op," \
         "BenchmarkBusyPollPath_max_allocs_per_op," \
-        "BenchmarkCoreDispatch_max_allocs_per_op); regenerate with" \
+        "BenchmarkCoreDispatch_max_allocs_per_op," \
+        "BenchmarkProcHandoff_max_allocs_per_op); regenerate with" \
         "'make bench' and restore the gate section" >&2
     exit 1
 fi
@@ -131,3 +135,13 @@ awk -v cd_max="$cd_max" '
     if (!seen) { print "bench gate: CoreDispatch benchmark output missing"; bad = 1 }
     exit bad
   }' "$tmp/bench_kernel.txt"
+# One sim.Proc blocking step (resume, then sleep again: a coroutine
+# switch each way) is gated the same way: the handoff allocates nothing.
+go test -run '^$' -bench 'BenchmarkProcHandoff$' -benchmem ./internal/sim | tee "$tmp/bench_sim.txt"
+awk -v ph_max="$ph_max" '
+  /^BenchmarkProcHandoff/ { seen = 1; a = $(NF-1) + 0
+    if (a > ph_max) { printf "bench gate: ProcHandoff %d allocs/op > %d\n", a, ph_max; bad = 1 } }
+  END {
+    if (!seen) { print "bench gate: ProcHandoff benchmark output missing"; bad = 1 }
+    exit bad
+  }' "$tmp/bench_sim.txt"
