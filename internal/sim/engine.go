@@ -1,6 +1,6 @@
 // Package sim provides a deterministic discrete-event simulation engine.
 //
-// The engine maintains a virtual clock in nanoseconds and an event heap.
+// The engine maintains a virtual clock in nanoseconds and an event queue.
 // All model components (cores, links, devices) schedule callbacks on the
 // engine; nothing in the simulation reads wall-clock time, so a run with a
 // fixed seed is exactly reproducible.
@@ -11,13 +11,19 @@
 // SimPy style, so determinism is preserved. A resume or a yield is one
 // direct coroutine switch; the Go scheduler is not involved.
 //
-// The event queue is an inlined value-based 4-ary min-heap ordered by
-// (at, sub, seq): events at the same instant dispatch in the order they
-// were scheduled — sub is the clock value at the scheduling call and
-// seq breaks the remaining ties in call order. Event records live in a
-// slot arena recycled through a free list, so steady-state scheduling
-// and dispatch allocate nothing; cancellation is lazy (a generation
-// check at pop time) to keep Stop O(1) without disturbing the heap.
+// Events dispatch in (at, sub, seq) order: events at the same instant
+// run in the order they were scheduled — sub is the clock value at the
+// scheduling call and seq breaks the remaining ties in call order. The
+// queue has two parts. Most model work is scheduled for the current
+// instant (a core's wake, a work item's completion, a broadcast), so an
+// event scheduled for exactly now goes on a FIFO ready lane; everything
+// else goes on an inlined value-based 4-ary min-heap. A heap entry due
+// now was scheduled earlier (its sub is below now) and so precedes the
+// whole lane: one compare of the heap top's time against the clock
+// picks the next event. Event records live in a slot arena recycled
+// through a free list, so steady-state scheduling and dispatch allocate
+// nothing; cancellation is lazy (a generation check at dispatch time)
+// to keep Stop O(1) without disturbing the queue.
 //
 // Engines can also be ganged into a Group (see shard.go) for
 // conservative parallel simulation: each engine becomes one shard
@@ -94,8 +100,16 @@ func (a heapEntry) less(b heapEntry) bool {
 	return a.seq < b.seq
 }
 
+// laneEntry is one event on the ready lane. Its ordering key is
+// implicit: at and sub are both the clock value, and the lane is
+// appended in seq order.
+type laneEntry struct {
+	slot int32
+	gen  uint32
+}
+
 // eventSlot is one arena record. gen increments every time the slot is
-// freed, invalidating any heap entries and Timers still pointing at it.
+// freed, invalidating any queue entries and Timers still pointing at it.
 type eventSlot struct {
 	fn   func()
 	gen  uint32
@@ -108,6 +122,8 @@ type Engine struct {
 	now      Time
 	seq      uint64
 	events   []heapEntry // 4-ary min-heap on (at, sub, seq)
+	lane     []laneEntry // events scheduled at now for now, FIFO from laneHead
+	laneHead int
 	slots    []eventSlot
 	freeHead int32 // head of the slot free list, -1 when empty
 	live     int   // scheduled and not cancelled
@@ -165,13 +181,36 @@ func (e *Engine) At(t Time, fn func()) Timer {
 		panic(fmt.Sprintf("sim: scheduling event at %v before now %v", t, e.now))
 	}
 	e.seq++
-	return e.insert(t, e.now, e.seqBase+e.seq, fn)
+	if t != e.now {
+		return e.insert(t, e.now, e.seqBase+e.seq, fn)
+	}
+	// An event for this very instant skips the heap: its key (now, now,
+	// seq) sorts after everything already queued for now, so appending
+	// keeps the lane in order.
+	slot, gen := e.alloc(fn)
+	if len(e.lane) == cap(e.lane) && e.laneHead > 0 {
+		// Reuse the consumed prefix before growing, so a long same-instant
+		// cascade keeps the lane as large as its live tail, not its history.
+		n := copy(e.lane, e.lane[e.laneHead:])
+		e.lane = e.lane[:n]
+		e.laneHead = 0
+	}
+	e.lane = append(e.lane, laneEntry{slot: slot, gen: gen})
+	return Timer{eng: e, at: t, slot: slot, gen: gen}
 }
 
 // insert allocates a slot for fn and pushes a heap entry with the given
-// ordering key. Shared by At (local scheduling) and the mailbox drain
-// (cross-shard posts carrying their sender's key).
+// ordering key. Shared by At (local scheduling past now) and the mailbox
+// drain (cross-shard posts carrying their sender's key, whose sub is
+// always below at).
 func (e *Engine) insert(t, sub Time, key uint64, fn func()) Timer {
+	slot, gen := e.alloc(fn)
+	e.push(heapEntry{at: t, sub: sub, seq: key, slot: slot, gen: gen})
+	return Timer{eng: e, at: t, slot: slot, gen: gen}
+}
+
+// alloc takes a slot off the free list (or grows the arena) for fn.
+func (e *Engine) alloc(fn func()) (int32, uint32) {
 	slot := e.freeHead
 	if slot >= 0 {
 		e.freeHead = e.slots[slot].next
@@ -181,9 +220,8 @@ func (e *Engine) insert(t, sub Time, key uint64, fn func()) Timer {
 	}
 	s := &e.slots[slot]
 	s.fn = fn
-	e.push(heapEntry{at: t, sub: sub, seq: key, slot: slot, gen: s.gen})
 	e.live++
-	return Timer{eng: e, at: t, slot: slot, gen: s.gen}
+	return slot, s.gen
 }
 
 // Post schedules fn at absolute time t on engine dst. With dst == e (or
@@ -220,7 +258,7 @@ func (e *Engine) After(d time.Duration, fn func()) Timer {
 }
 
 // freeSlot recycles a slot onto the free list. Bumping gen invalidates
-// the heap entry (if still queued) and every Timer handle for it.
+// the queue entry (if still queued) and every Timer handle for it.
 func (e *Engine) freeSlot(slot int32) {
 	s := &e.slots[slot]
 	s.fn = nil
@@ -283,18 +321,6 @@ func (e *Engine) popMin() heapEntry {
 	return min
 }
 
-// purge discards cancelled entries from the top of the heap so callers
-// can trust events[0] to be a live event.
-func (e *Engine) purge() {
-	for len(e.events) > 0 {
-		ent := e.events[0]
-		if e.slots[ent.slot].gen == ent.gen {
-			return
-		}
-		e.popMin()
-	}
-}
-
 // Timer is a handle to a scheduled event, allowing cancellation. The
 // zero Timer is valid: never pending, Stop reports false.
 type Timer struct {
@@ -305,8 +331,8 @@ type Timer struct {
 }
 
 // Stop cancels the pending event. It reports whether the event was still
-// pending (and is now cancelled). The heap entry is dropped lazily when
-// it reaches the top of the queue.
+// pending (and is now cancelled). The queue entry is dropped lazily when
+// it reaches the front of the queue.
 func (t Timer) Stop() bool {
 	if t.eng == nil || t.eng.slots[t.slot].gen != t.gen {
 		return false
@@ -323,32 +349,74 @@ func (t Timer) Pending() bool {
 	return t.eng != nil && t.eng.slots[t.slot].gen == t.gen
 }
 
-// step dispatches the earliest pending event. It reports false when the
-// event queue is empty.
-func (e *Engine) step() bool {
-	for {
-		if len(e.events) == 0 {
-			return false
+// stepUntil dispatches events in (at, sub, seq) order until the next
+// one is due after until, the queue is empty, or Stop is called. Each
+// entry is looked at once: a heap top due now precedes the lane (it was
+// scheduled before now), the lane precedes a heap top due later, and
+// only a move of the clock needs the bound check — every event due now
+// is within it when now is. On a grouped engine each move of the clock
+// is published, so peers can advance while this batch runs.
+func (e *Engine) stepUntil(until Time) {
+	if e.now > until {
+		return
+	}
+	for !e.stopped {
+		var slot int32
+		var gen uint32
+		at := e.now
+		if h := e.events; len(h) > 0 && (h[0].at == at || e.laneHead == len(e.lane) && h[0].at <= until) {
+			ent := e.popMin()
+			slot, gen, at = ent.slot, ent.gen, ent.at
+		} else if e.laneHead < len(e.lane) {
+			ent := e.lane[e.laneHead]
+			e.laneHead++
+			if e.laneHead == len(e.lane) {
+				e.lane = e.lane[:0]
+				e.laneHead = 0
+			}
+			slot, gen = ent.slot, ent.gen
+		} else {
+			return
 		}
-		ent := e.popMin()
-		s := &e.slots[ent.slot]
-		if s.gen != ent.gen { // cancelled: drop and keep looking
+		s := &e.slots[slot]
+		if s.gen != gen { // cancelled: drop and keep looking
 			continue
 		}
-		if ent.at < e.now {
-			panic("sim: time went backwards")
+		if at != e.now {
+			if at < e.now {
+				panic("sim: time went backwards")
+			}
+			e.now = at
+			if e.group != nil {
+				e.clock.store(at)
+			}
 		}
-		e.now = ent.at
 		e.Executed++
 		if e.MaxEvents != 0 && e.Executed > e.MaxEvents {
 			panic(fmt.Sprintf("sim: exceeded MaxEvents=%d at t=%v", e.MaxEvents, e.now))
 		}
 		fn := s.fn
 		// Free before dispatch so fn can schedule into the recycled slot.
-		e.freeSlot(ent.slot)
+		e.freeSlot(slot)
 		fn()
-		return true
 	}
+}
+
+// nextAt returns a lower bound on the next dispatch time for the shard
+// loop: now while the lane holds entries (live or not), else the
+// earliest live heap entry's time, dropping cancelled entries off the
+// top, or math.MaxInt64 when nothing is queued.
+func (e *Engine) nextAt() Time {
+	if e.laneHead < len(e.lane) {
+		return e.now
+	}
+	for len(e.events) > 0 {
+		if ent := e.events[0]; e.slots[ent.slot].gen == ent.gen {
+			return ent.at
+		}
+		e.popMin()
+	}
+	return Time(math.MaxInt64)
 }
 
 // Run dispatches events until the clock would pass `until` or no events
@@ -364,13 +432,7 @@ func (e *Engine) Run(until Time) {
 	e.running = true
 	e.stopped = false
 	defer func() { e.running = false }()
-	for !e.stopped {
-		e.purge()
-		if len(e.events) == 0 || e.events[0].at > until {
-			break
-		}
-		e.step()
-	}
+	e.stepUntil(until)
 	if !e.stopped && until > e.now {
 		e.now = until
 	}
@@ -392,8 +454,7 @@ func (e *Engine) RunUntilIdle() {
 	e.running = true
 	e.stopped = false
 	defer func() { e.running = false }()
-	for !e.stopped && e.step() {
-	}
+	e.stepUntil(Time(math.MaxInt64))
 	if !e.stopped && e.idleAt > e.now {
 		e.now = e.idleAt
 	}

@@ -286,6 +286,206 @@ func TestHeapOrderRandomized(t *testing.T) {
 	}
 }
 
+// TestLaneBoundedInLongCascade: a long same-instant cascade with a few
+// events live at a time reuses the lane's consumed prefix instead of
+// growing the lane with the cascade's length.
+func TestLaneBoundedInLongCascade(t *testing.T) {
+	e := NewEngine()
+	left := 100000
+	var hop func()
+	hop = func() {
+		if left > 0 {
+			left--
+			e.After(0, hop)
+		}
+	}
+	for i := 0; i < 3; i++ {
+		e.After(0, hop)
+	}
+	e.RunUntilIdle()
+	if left != 0 || e.Now() != 0 {
+		t.Fatalf("cascade left %d hops, clock %v", left, e.Now())
+	}
+	if c := cap(e.lane); c > 16 {
+		t.Fatalf("lane capacity %d after a cascade with 3 live events", c)
+	}
+}
+
+// refQueue is the reference model for TestDispatchOrderMatchesReference:
+// a plain list scanned for the minimum (at, sub, seq) live entry at
+// every step, with the same Run/Stop contract as Engine.
+type refQueue struct {
+	now     Time
+	seq     uint64
+	evs     []*refEvent
+	stopped bool
+}
+
+type refEvent struct {
+	at, sub Time
+	seq     uint64
+	fn      func()
+	live    bool
+}
+
+func (q *refQueue) at(t Time, fn func()) func() bool {
+	q.seq++
+	ev := &refEvent{at: t, sub: q.now, seq: q.seq, fn: fn, live: true}
+	q.evs = append(q.evs, ev)
+	return func() bool {
+		was := ev.live
+		ev.live = false
+		return was
+	}
+}
+
+func (q *refQueue) pending() int {
+	n := 0
+	for _, ev := range q.evs {
+		if ev.live {
+			n++
+		}
+	}
+	return n
+}
+
+func (q *refQueue) run(until Time) {
+	q.stopped = false
+	for !q.stopped {
+		var next *refEvent
+		for _, ev := range q.evs {
+			if !ev.live {
+				continue
+			}
+			if next == nil || ev.at < next.at ||
+				ev.at == next.at && (ev.sub < next.sub || ev.sub == next.sub && ev.seq < next.seq) {
+				next = ev
+			}
+		}
+		if next == nil || next.at > until {
+			break
+		}
+		next.live = false
+		q.now = next.at
+		next.fn()
+	}
+	if !q.stopped && until > q.now {
+		q.now = until
+	}
+}
+
+// scheduler is the surface the randomized ordering workload drives, so
+// the same workload runs on Engine and on refQueue.
+type scheduler struct {
+	now  func() Time
+	at   func(t Time, fn func()) (stop func() bool)
+	halt func()
+}
+
+// nestedWorkload seeds a random schedule whose callbacks log their id,
+// schedule children at +0 (the ready lane) and at +d (the heap), cancel
+// random recent timers (lane entries among them) and sometimes stop the
+// run mid-instant. Every RNG draw happens inside a callback, so two
+// queues consume the stream identically exactly when they dispatch in
+// the same order. The log records dispatches as ids and cancellations
+// as -1-id with a trailing 1 (stopped) or 0 (already gone).
+func nestedWorkload(s scheduler, seed int64, log *[]int) (laneStops, halts *int) {
+	rng := NewRNG(seed)
+	laneStops, halts = new(int), new(int)
+	type handle struct {
+		id    int
+		stop  func() bool
+		atNow bool
+	}
+	var handles []handle
+	id := 0
+	var spawn func(t Time)
+	spawn = func(t Time) {
+		me := id
+		id++
+		handles = append(handles, handle{me, s.at(t, func() {
+			*log = append(*log, me)
+			for k := rng.Intn(4); k > 0 && id < 4000; k-- {
+				d := Time(0)
+				if rng.Intn(2) == 0 {
+					d = Time(1 + rng.Intn(20))
+				}
+				spawn(s.now() + d)
+			}
+			if rng.Intn(3) == 0 {
+				h := handles[len(handles)-1-rng.Intn(min(8, len(handles)))]
+				ok := h.stop()
+				if ok && h.atNow {
+					*laneStops++
+				}
+				res := 0
+				if ok {
+					res = 1
+				}
+				*log = append(*log, -1-h.id, res)
+			}
+			if rng.Intn(40) == 0 {
+				*halts++
+				s.halt()
+			}
+		}), t == s.now()})
+	}
+	for i := 0; i < 16; i++ {
+		spawn(Time(rng.Intn(30)))
+	}
+	return laneStops, halts
+}
+
+// TestDispatchOrderMatchesReference cross-checks the lane-plus-heap
+// queue against a reference that sorts by (at, sub, seq), on schedules
+// that nest +0 and +d events, cancel pending timers (lane entries
+// included) and stop runs mid-instant before resuming them.
+func TestDispatchOrderMatchesReference(t *testing.T) {
+	for seed := int64(1); seed <= 5; seed++ {
+		e := NewEngine()
+		var got []int
+		laneStops, halts := nestedWorkload(scheduler{
+			now:  e.Now,
+			at:   func(at Time, fn func()) func() bool { return e.At(at, fn).Stop },
+			halt: e.Stop,
+		}, seed, &got)
+		ref := &refQueue{}
+		var want []int
+		nestedWorkload(scheduler{
+			now:  func() Time { return ref.now },
+			at:   ref.at,
+			halt: func() { ref.stopped = true },
+		}, seed, &want)
+
+		for until := Time(0); e.Pending() > 0 || ref.pending() > 0; until += 7 {
+			if until > 1<<20 { // children land at most 20 ns out, 4000 at most
+				t.Fatalf("seed %d: queues still hold %d / %d events at %v", seed, e.Pending(), ref.pending(), until)
+			}
+			e.Run(until)
+			ref.run(until)
+			if e.Now() != ref.now || e.Pending() != ref.pending() {
+				t.Fatalf("seed %d, Run(%v): now %v pending %d, reference now %v pending %d",
+					seed, until, e.Now(), e.Pending(), ref.now, ref.pending())
+			}
+			if live := e.ArenaSlots() - e.FreeSlots(); live != e.Pending() {
+				t.Fatalf("seed %d, Run(%v): %d arena slots in use, %d events pending", seed, until, live, e.Pending())
+			}
+		}
+		if len(got) != len(want) {
+			t.Fatalf("seed %d: %d log entries, reference %d", seed, len(got), len(want))
+		}
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("seed %d: log entry %d = %d, reference %d", seed, i, got[i], want[i])
+			}
+		}
+		if *laneStops == 0 || *halts == 0 {
+			t.Fatalf("seed %d: workload cancelled %d lane entries and stopped %d times; want both exercised",
+				seed, *laneStops, *halts)
+		}
+	}
+}
+
 func TestTimeArithmetic(t *testing.T) {
 	tm := Time(100)
 	if tm.Add(50*Nanosecond) != Time(150) {
@@ -371,5 +571,49 @@ func TestTimerSlotReclaim(t *testing.T) {
 	}
 	if free, total := e.FreeSlots(), e.ArenaSlots(); free != total {
 		t.Fatalf("slot leak: %d of %d arena slots free after idle", free, total)
+	}
+}
+
+// BenchmarkEngineDispatch prices one event through the engine's queue:
+// eight self-rescheduling chains run over 34 far-future timers. The
+// zero-delay chains reschedule at +0, the ready lane's case; the timed
+// chains reschedule at +1 ns, so each event sifts through a 42-entry
+// heap.
+func BenchmarkEngineDispatch(b *testing.B) {
+	for _, bc := range []struct {
+		name  string
+		delay time.Duration
+	}{{"zero-delay", 0}, {"timed", Nanosecond}} {
+		b.Run(bc.name, func(b *testing.B) {
+			const chains, timers = 8, 34
+			e := NewEngine()
+			far := Time(1) << 62
+			for i := 0; i < timers; i++ {
+				e.At(far+Time(i), func() {})
+			}
+			left, active := 0, 0
+			var chain func()
+			chain = func() {
+				if left > 0 {
+					left--
+					e.After(bc.delay, chain)
+					return
+				}
+				if active--; active == 0 {
+					e.Stop() // leave the clock where the chains ended
+				}
+			}
+			run := func(n int) {
+				left, active = n, chains
+				for i := 0; i < chains; i++ {
+					e.After(bc.delay, chain)
+				}
+				e.Run(far - 1)
+			}
+			run(1024) // grow the arena, heap and lane to steady state
+			b.ReportAllocs()
+			b.ResetTimer()
+			run(b.N)
+		})
 	}
 }

@@ -132,7 +132,7 @@ func NewGroup(engines ...*Engine) *Group {
 		if e.group != nil {
 			panic("sim: engine already belongs to a shard group")
 		}
-		if e.seq != 0 || len(e.events) != 0 {
+		if e.seq != 0 || len(e.events) != 0 || len(e.lane) != 0 {
 			panic("sim: engine joined a shard group after scheduling events")
 		}
 		e.group = g
@@ -201,7 +201,6 @@ func (g *Group) Run(until Time) {
 		// inbox (necessarily for delivery past `until`): merge them into
 		// the heap so Pending and the next window see them.
 		e.drainInbox()
-		e.purge()
 		if !e.stopped && until > e.now {
 			e.now = until
 		}
@@ -282,11 +281,7 @@ func (g *Group) runShard(e *Engine, until Time) {
 	for !e.stopped {
 		s := g.safeHorizon(e)
 		e.drainInbox()
-		e.purge()
-		t := Time(math.MaxInt64)
-		if len(e.events) > 0 {
-			t = e.events[0].at
-		}
+		t := e.nextAt()
 		// Publish our own promise before dispatching anything at t.
 		c := t
 		if s < c {
@@ -296,27 +291,10 @@ func (g *Group) runShard(e *Engine, until Time) {
 			e.clock.store(c)
 		}
 		if t <= until && t < s {
-			// Dispatch the batch below the horizon, keeping the clock
-			// fresh as local time advances so peers can make progress
-			// without waiting for this batch to finish.
-			for {
-				e.step()
-				if e.stopped {
-					break
-				}
-				e.purge()
-				if len(e.events) == 0 {
-					break
-				}
-				nt := e.events[0].at
-				if nt > until || nt >= s {
-					break
-				}
-				if nt > t {
-					t = nt
-					e.clock.store(t)
-				}
-			}
+			// Dispatch the batch below the horizon; stepUntil keeps the
+			// clock fresh as local time advances so peers can make
+			// progress without waiting for this batch to finish.
+			e.stepUntil(min(until, s-1))
 			continue
 		}
 		if t > until && s > until {

@@ -287,3 +287,50 @@ func TestGroupExecutedSum(t *testing.T) {
 		t.Fatalf("Executed = %d, want 22", got)
 	}
 }
+
+// TestGroupPostPrecedesLane: a cross-shard post due at the receiver's
+// current instant was scheduled before that instant, so it dispatches
+// ahead of the receiver's ready lane (events the instant itself
+// scheduled at +0), exactly where a serial engine puts it.
+func TestGroupPostPrecedesLane(t *testing.T) {
+	const lat = 500 * time.Nanosecond
+	at := Time(2 * Microsecond)
+	model := func(sender, receiver *Engine, log *[]string) {
+		rec := func(what string) func() {
+			return func() { *log = append(*log, fmt.Sprintf("%d:%s", receiver.Now(), what)) }
+		}
+		// Scheduled at 0 for `at`: runs first and fills the lane.
+		receiver.At(at, func() {
+			rec("timer")()
+			receiver.After(0, func() {
+				rec("lane1")()
+				receiver.After(0, rec("lane3"))
+			})
+			receiver.After(0, rec("lane2"))
+		})
+		// Scheduled at at-lat for `at`, from the sender.
+		sender.At(at.Add(-lat), func() { sender.Post(receiver, at, rec("post")) })
+	}
+	want := []string{"2000:timer", "2000:post", "2000:lane1", "2000:lane2", "2000:lane3"}
+	check := func(name string, got []string) {
+		t.Helper()
+		if fmt.Sprint(got) != fmt.Sprint(want) {
+			t.Fatalf("%s dispatch order %v, want %v", name, got, want)
+		}
+	}
+
+	var serial []string
+	e := NewEngine()
+	model(e, e, &serial)
+	e.Run(Time(10 * Microsecond))
+	check("serial", serial)
+
+	var sharded []string
+	a, b := NewEngine(), NewEngine()
+	g := NewGroup(a, b)
+	g.Link(a, b, lat, nil)
+	g.Link(b, a, lat, nil)
+	model(a, b, &sharded)
+	g.Run(Time(10 * Microsecond))
+	check("sharded", sharded)
+}

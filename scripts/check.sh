@@ -9,8 +9,10 @@ set -eux
 
 cd "$(dirname "$0")/.."
 
-# Guard against editing this gate into a script that no longer parses.
+# Guard against editing this gate (or the A/B tool) into a script that
+# no longer parses.
 sh -n scripts/check.sh
+sh -n scripts/benchab.sh
 
 go vet ./...
 go build ./...
@@ -101,13 +103,15 @@ pp_max="$(sed -n 's/.*"BenchmarkPacketPath_max_allocs_per_op": *\([0-9]*\).*/\1/
 bp_max="$(sed -n 's/.*"BenchmarkBusyPollPath_max_allocs_per_op": *\([0-9]*\).*/\1/p' BENCH_sim.json)"
 cd_max="$(sed -n 's/.*"BenchmarkCoreDispatch_max_allocs_per_op": *\([0-9]*\).*/\1/p' BENCH_sim.json)"
 ph_max="$(sed -n 's/.*"BenchmarkProcHandoff_max_allocs_per_op": *\([0-9]*\).*/\1/p' BENCH_sim.json)"
-if test -z "$evr_max" || test -z "$pp_max" || test -z "$bp_max" || test -z "$cd_max" || test -z "$ph_max"; then
+ed_max="$(sed -n 's/.*"BenchmarkEngineDispatch_max_allocs_per_op": *\([0-9]*\).*/\1/p' BENCH_sim.json)"
+if test -z "$evr_max" || test -z "$pp_max" || test -z "$bp_max" || test -z "$cd_max" || test -z "$ph_max" || test -z "$ed_max"; then
     echo "check.sh: BENCH_sim.json is missing its gate keys" \
         "(BenchmarkSimulatorEventRate_max_allocs_per_op," \
         "BenchmarkPacketPath_max_allocs_per_op," \
         "BenchmarkBusyPollPath_max_allocs_per_op," \
         "BenchmarkCoreDispatch_max_allocs_per_op," \
-        "BenchmarkProcHandoff_max_allocs_per_op); regenerate with" \
+        "BenchmarkProcHandoff_max_allocs_per_op," \
+        "BenchmarkEngineDispatch_max_allocs_per_op); regenerate with" \
         "'make bench' and restore the gate section" >&2
     exit 1
 fi
@@ -137,11 +141,17 @@ awk -v cd_max="$cd_max" '
   }' "$tmp/bench_kernel.txt"
 # One sim.Proc blocking step (resume, then sleep again: a coroutine
 # switch each way) is gated the same way: the handoff allocates nothing.
-go test -run '^$' -bench 'BenchmarkProcHandoff$' -benchmem ./internal/sim | tee "$tmp/bench_sim.txt"
-awk -v ph_max="$ph_max" '
-  /^BenchmarkProcHandoff/ { seen = 1; a = $(NF-1) + 0
+# So is one event through the engine's queue, on the ready lane
+# (zero-delay) and through the heap (timed).
+go test -run '^$' -bench 'BenchmarkProcHandoff$|BenchmarkEngineDispatch$' -benchmem ./internal/sim | tee "$tmp/bench_sim.txt"
+awk -v ph_max="$ph_max" -v ed_max="$ed_max" '
+  /^BenchmarkProcHandoff/ { seen_ph = 1; a = $(NF-1) + 0
     if (a > ph_max) { printf "bench gate: ProcHandoff %d allocs/op > %d\n", a, ph_max; bad = 1 } }
+  /^BenchmarkEngineDispatch\/zero-delay/ { seen_zd = 1 }
+  /^BenchmarkEngineDispatch\/timed/ { seen_td = 1 }
+  /^BenchmarkEngineDispatch\// { a = $(NF-1) + 0
+    if (a > ed_max) { printf "bench gate: %s %d allocs/op > %d\n", $1, a, ed_max; bad = 1 } }
   END {
-    if (!seen) { print "bench gate: ProcHandoff benchmark output missing"; bad = 1 }
+    if (!seen_ph || !seen_zd || !seen_td) { print "bench gate: sim benchmark output missing"; bad = 1 }
     exit bad
   }' "$tmp/bench_sim.txt"
