@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"fmt"
 	"runtime"
 	"sync"
 
@@ -41,29 +42,14 @@ func Parallelism() int {
 	return cap(sem)
 }
 
-// shardCount is the engine shard count applied to every cluster the
-// harness builds. 1 (the default) is the serial engine.
-var shardCount = 1
-
-// SetShards sets how many engine shards each simulated cluster runs on
-// (intra-point parallelism, vs SetParallelism's across-point
-// parallelism). n < 1 is treated as 1; the testbed clamps at one shard
-// per host. Results are byte-identical at any value. Call between
-// runs, not while experiments are in flight.
+// SetShards accepts only 1, the serial engine, and panics on any other
+// value. The sharded engine is gone; this shim remains so callers
+// written against the old two-knob harness (SetParallelism, SetShards)
+// keep building. Across-point parallelism is SetParallelism's job.
 func SetShards(n int) {
-	if n < 1 {
-		n = 1
+	if n != 1 {
+		panic(fmt.Sprintf("experiments: SetShards(%d): only the serial engine (1) exists", n))
 	}
-	parMu.Lock()
-	shardCount = n
-	parMu.Unlock()
-}
-
-// Shards returns the per-cluster engine shard count.
-func Shards() int {
-	parMu.RLock()
-	defer parMu.RUnlock()
-	return shardCount
 }
 
 // datapath is the completion-delivery mode applied to every cluster the

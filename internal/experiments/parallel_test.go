@@ -1,6 +1,9 @@
 package experiments
 
 import (
+	"encoding/json"
+	"fmt"
+	"runtime"
 	"sync/atomic"
 	"testing"
 )
@@ -86,5 +89,72 @@ func TestFig9Deterministic(t *testing.T) {
 	}
 	if got, want := par.Render(), serial1.Render(); got != want {
 		t.Fatalf("parallel fig9 differs from serial:\n--- parallel\n%s\n--- serial\n%s", got, want)
+	}
+}
+
+// TestSetShardsAcceptsOnlyOne: the serial engine is the only engine, so
+// the SetShards shim takes 1 and panics on anything else.
+func TestSetShardsAcceptsOnlyOne(t *testing.T) {
+	SetShards(1)
+	for _, n := range []int{0, 2} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("SetShards(%d) did not panic", n)
+				}
+			}()
+			SetShards(n)
+		}()
+	}
+}
+
+// procsRun renders fig2 + chaos and snapshots the canonical telemetry
+// registry at the given GOMAXPROCS. Everything a report exports is
+// covered: rendered tables, pass/fail checks, and the raw metrics
+// samples (engine clocks, pool depths, pipe counters).
+func procsRun(t *testing.T, procs int) (rendered string, snapshots []byte) {
+	t.Helper()
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+	d := Quick()
+	for _, id := range []string{"fig2", "chaos"} {
+		res, err := Run(id, d)
+		if err != nil {
+			t.Fatalf("procs=%d: %s: %v", procs, id, err)
+		}
+		rendered += res.Render()
+	}
+	snaps, err := json.Marshal(RegistrySnapshots(d))
+	if err != nil {
+		t.Fatalf("procs=%d: marshal snapshots: %v", procs, err)
+	}
+	return rendered, snaps
+}
+
+// TestGOMAXPROCSDeterminism: fig2 (the headline result) and chaos
+// (fault windows, retransmission, PF failover — the hardest path to
+// keep deterministic) render byte-identically, with byte-identical
+// metrics snapshots, whether the point harness's workers share one OS
+// thread or run on several.
+func TestGOMAXPROCSDeterminism(t *testing.T) {
+	refRender, refSnaps := procsRun(t, runtime.NumCPU())
+	if refRender == "" {
+		t.Fatal("reference run rendered nothing")
+	}
+	procs := []int{1, 2}
+	if testing.Short() {
+		procs = procs[:1]
+	}
+	for _, p := range procs {
+		t.Run(fmt.Sprintf("procs=%d", p), func(t *testing.T) {
+			gotRender, gotSnaps := procsRun(t, p)
+			if gotRender != refRender {
+				t.Errorf("rendered output diverges from the reference run:\n--- got\n%s\n--- want\n%s",
+					gotRender, refRender)
+			}
+			if string(gotSnaps) != string(refSnaps) {
+				t.Errorf("metrics snapshots diverge from the reference run:\n--- got\n%s\n--- want\n%s",
+					gotSnaps, refSnaps)
+			}
+		})
 	}
 }

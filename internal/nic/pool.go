@@ -30,8 +30,6 @@ import "sync/atomic"
 // read once per NIC at construction (so a concurrently-built cluster
 // sees a consistent setting) and exists for the A/B regression test
 // that proves pooled and unpooled runs emit byte-identical results.
-//
-// octolint:shard-shared
 var poolingOff atomic.Bool
 
 // SetPooling enables or disables packet pooling for NICs constructed

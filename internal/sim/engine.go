@@ -11,25 +11,19 @@
 // SimPy style, so determinism is preserved. A resume or a yield is one
 // direct coroutine switch; the Go scheduler is not involved.
 //
-// Events dispatch in (at, sub, seq) order: events at the same instant
-// run in the order they were scheduled — sub is the clock value at the
-// scheduling call and seq breaks the remaining ties in call order. The
+// Events dispatch in (at, seq) order: events at the same instant run in
+// the order they were scheduled, since seq counts scheduling calls. The
 // queue has two parts. Most model work is scheduled for the current
 // instant (a core's wake, a work item's completion, a broadcast), so an
 // event scheduled for exactly now goes on a FIFO ready lane; everything
 // else goes on an inlined value-based 4-ary min-heap. A heap entry due
-// now was scheduled earlier (its sub is below now) and so precedes the
-// whole lane: one compare of the heap top's time against the clock
-// picks the next event. Event records live in a slot arena recycled
-// through a free list, so steady-state scheduling and dispatch allocate
-// nothing; cancellation is lazy (a generation check at dispatch time)
-// to keep Stop O(1) without disturbing the queue.
-//
-// Engines can also be ganged into a Group (see shard.go) for
-// conservative parallel simulation: each engine becomes one shard
-// running on its own goroutine, exchanging cross-shard events through
-// mailboxes via Post/PostAfter and synchronizing on published clock
-// horizons bounded by link latency.
+// now was scheduled before the clock reached now (its seq is below
+// every lane entry's) and so precedes the whole lane: one compare of
+// the heap top's time against the clock picks the next event. Event
+// records live in a slot arena recycled through a free list, so
+// steady-state scheduling and dispatch allocate nothing; cancellation
+// is lazy (a generation check at dispatch time) to keep Stop O(1)
+// without disturbing the queue.
 package sim
 
 import (
@@ -77,32 +71,21 @@ func (t Time) String() string { return time.Duration(t).String() }
 // (slot, gen) reference that validates it at pop time.
 type heapEntry struct {
 	at   Time
-	sub  Time   // clock value at the scheduling call (secondary key)
-	seq  uint64 // shard-composed FIFO tie-break among same-(at, sub) events
+	seq  uint64 // FIFO tie-break among same-at events: scheduling call order
 	slot int32
 	gen  uint32
 }
 
-// less orders entries by (at, sub, seq). On a single engine sub is
-// redundant — seq strictly increases per schedule and the clock never
-// runs backwards, so (at, seq) alone reproduces scheduling order. The
-// sub key exists for sharded runs: a cross-shard post carries its
-// sender's scheduling time, so merging it into the receiver's heap
-// lands it exactly where the serial engine would have dispatched it
-// relative to events the receiver scheduled earlier or later.
+// less orders entries by (at, seq). seq strictly increases per
+// scheduling call and the clock never runs backwards, so this is
+// scheduling order among events due at the same instant.
 func (a heapEntry) less(b heapEntry) bool {
-	if a.at != b.at {
-		return a.at < b.at
-	}
-	if a.sub != b.sub {
-		return a.sub < b.sub
-	}
-	return a.seq < b.seq
+	return a.at < b.at || a.at == b.at && a.seq < b.seq
 }
 
 // laneEntry is one event on the ready lane. Its ordering key is
-// implicit: at and sub are both the clock value, and the lane is
-// appended in seq order.
+// implicit: at is the clock value, and the lane is appended in seq
+// order.
 type laneEntry struct {
 	slot int32
 	gen  uint32
@@ -121,7 +104,7 @@ type eventSlot struct {
 type Engine struct {
 	now      Time
 	seq      uint64
-	events   []heapEntry // 4-ary min-heap on (at, sub, seq)
+	events   []heapEntry // 4-ary min-heap on (at, seq)
 	lane     []laneEntry // events scheduled at now for now, FIFO from laneHead
 	laneHead int
 	slots    []eventSlot
@@ -136,21 +119,6 @@ type Engine struct {
 	procs    map[*Proc]int
 	procList []*Proc
 	tracer   *Tracer
-
-	// Sharding state (see shard.go). group is nil on a standalone
-	// engine, which keeps every field below cold: shard is 0, seqBase is
-	// 0 (entry seq keys degenerate to the classic per-engine counter),
-	// and the inbox/clock/hooks are never touched.
-	group   *Group
-	shard   int
-	seqBase uint64 // shard<<56, folded into every entry's seq key
-	// clock and inbox are read and written by peer shard goroutines
-	// while this shard runs; both types synchronize internally.
-	// octolint:shard-shared
-	clock atomicTime
-	// octolint:shard-shared
-	inbox     mailbox
-	syncHooks []func()
 
 	// idleAt is the latest completion time of fire-and-forget work
 	// (e.g. Pipe.Transfer with a nil callback). Instead of holding a
@@ -181,13 +149,14 @@ func (e *Engine) At(t Time, fn func()) Timer {
 		panic(fmt.Sprintf("sim: scheduling event at %v before now %v", t, e.now))
 	}
 	e.seq++
-	if t != e.now {
-		return e.insert(t, e.now, e.seqBase+e.seq, fn)
-	}
-	// An event for this very instant skips the heap: its key (now, now,
-	// seq) sorts after everything already queued for now, so appending
-	// keeps the lane in order.
 	slot, gen := e.alloc(fn)
+	if t != e.now {
+		e.push(heapEntry{at: t, seq: e.seq, slot: slot, gen: gen})
+		return Timer{eng: e, at: t, slot: slot, gen: gen}
+	}
+	// An event for this very instant skips the heap: its key (now, seq)
+	// sorts after everything already queued for now, so appending keeps
+	// the lane in order.
 	if len(e.lane) == cap(e.lane) && e.laneHead > 0 {
 		// Reuse the consumed prefix before growing, so a long same-instant
 		// cascade keeps the lane as large as its live tail, not its history.
@@ -196,16 +165,6 @@ func (e *Engine) At(t Time, fn func()) Timer {
 		e.laneHead = 0
 	}
 	e.lane = append(e.lane, laneEntry{slot: slot, gen: gen})
-	return Timer{eng: e, at: t, slot: slot, gen: gen}
-}
-
-// insert allocates a slot for fn and pushes a heap entry with the given
-// ordering key. Shared by At (local scheduling past now) and the mailbox
-// drain (cross-shard posts carrying their sender's key, whose sub is
-// always below at).
-func (e *Engine) insert(t, sub Time, key uint64, fn func()) Timer {
-	slot, gen := e.alloc(fn)
-	e.push(heapEntry{at: t, sub: sub, seq: key, slot: slot, gen: gen})
 	return Timer{eng: e, at: t, slot: slot, gen: gen}
 }
 
@@ -222,30 +181,6 @@ func (e *Engine) alloc(fn func()) (int32, uint32) {
 	s.fn = fn
 	e.live++
 	return slot, s.gen
-}
-
-// Post schedules fn at absolute time t on engine dst. With dst == e (or
-// two engines driven from one goroutine) this is exactly At; when both
-// engines are shards of one running Group the event crosses through
-// dst's mailbox carrying this engine's scheduling key, so the receiver
-// merges it into its heap in the order the serial engine would have
-// used. The caller must respect the group's link floors: t must be at
-// least the registered floor past this shard's published clock.
-func (e *Engine) Post(dst *Engine, t Time, fn func()) {
-	if dst == e || e.group == nil || dst.group != e.group {
-		dst.At(t, fn)
-		return
-	}
-	e.seq++
-	dst.inbox.put(xpost{at: t, sub: e.now, seq: e.seqBase + e.seq, fn: fn})
-}
-
-// PostAfter schedules fn on dst at d past this engine's current time.
-func (e *Engine) PostAfter(dst *Engine, d time.Duration, fn func()) {
-	if d < 0 {
-		d = 0
-	}
-	e.Post(dst, e.now.Add(d), fn)
 }
 
 // After schedules fn to run d after the current time. Negative d is
@@ -349,13 +284,12 @@ func (t Timer) Pending() bool {
 	return t.eng != nil && t.eng.slots[t.slot].gen == t.gen
 }
 
-// stepUntil dispatches events in (at, sub, seq) order until the next
-// one is due after until, the queue is empty, or Stop is called. Each
-// entry is looked at once: a heap top due now precedes the lane (it was
+// stepUntil dispatches events in (at, seq) order until the next one is
+// due after until, the queue is empty, or Stop is called. Each entry is
+// looked at once: a heap top due now precedes the lane (it was
 // scheduled before now), the lane precedes a heap top due later, and
 // only a move of the clock needs the bound check — every event due now
-// is within it when now is. On a grouped engine each move of the clock
-// is published, so peers can advance while this batch runs.
+// is within it when now is.
 func (e *Engine) stepUntil(until Time) {
 	if e.now > until {
 		return
@@ -387,9 +321,6 @@ func (e *Engine) stepUntil(until Time) {
 				panic("sim: time went backwards")
 			}
 			e.now = at
-			if e.group != nil {
-				e.clock.store(at)
-			}
 		}
 		e.Executed++
 		if e.MaxEvents != 0 && e.Executed > e.MaxEvents {
@@ -402,32 +333,12 @@ func (e *Engine) stepUntil(until Time) {
 	}
 }
 
-// nextAt returns a lower bound on the next dispatch time for the shard
-// loop: now while the lane holds entries (live or not), else the
-// earliest live heap entry's time, dropping cancelled entries off the
-// top, or math.MaxInt64 when nothing is queued.
-func (e *Engine) nextAt() Time {
-	if e.laneHead < len(e.lane) {
-		return e.now
-	}
-	for len(e.events) > 0 {
-		if ent := e.events[0]; e.slots[ent.slot].gen == ent.gen {
-			return ent.at
-		}
-		e.popMin()
-	}
-	return Time(math.MaxInt64)
-}
-
 // Run dispatches events until the clock would pass `until` or no events
 // remain. The clock is left at `until` (or at the last event if the queue
 // drained earlier and Stop was not called).
 func (e *Engine) Run(until Time) {
 	if e.running {
 		panic("sim: Run called reentrantly")
-	}
-	if e.group != nil {
-		panic("sim: Run called on a grouped engine; drive the shard group instead")
 	}
 	e.running = true
 	e.stopped = false
@@ -447,9 +358,6 @@ func (e *Engine) RunFor(d time.Duration) { e.Run(e.now.Add(d)) }
 func (e *Engine) RunUntilIdle() {
 	if e.running {
 		panic("sim: Run called reentrantly")
-	}
-	if e.group != nil {
-		panic("sim: RunUntilIdle called on a grouped engine; drive the shard group instead")
 	}
 	e.running = true
 	e.stopped = false
@@ -487,22 +395,6 @@ func (e *Engine) Drain() {
 	e.procs = make(map[*Proc]int)
 	e.procList = nil
 }
-
-// ShardGroup returns the Group this engine belongs to, nil for a
-// standalone (serial) engine.
-func (e *Engine) ShardGroup() *Group { return e.group }
-
-// Shard returns this engine's index within its group (0 when serial).
-func (e *Engine) Shard() int { return e.shard }
-
-// OnShardSync registers fn to run on every shard-sync barrier (the end
-// of each Group.Run window, on the caller's goroutine). Subsystems that
-// defer cross-shard bookkeeping — e.g. frame pools reclaiming frames
-// whose delivery copy crossed to another shard — flush it here so
-// metrics snapshots taken between windows match the serial engine
-// exactly. No-op scheduling on a standalone engine: the hook is simply
-// never called.
-func (e *Engine) OnShardSync(fn func()) { e.syncHooks = append(e.syncHooks, fn) }
 
 // ArenaSlots returns the total size of the event slot arena, and
 // FreeSlots the length of its free list. live == ArenaSlots-FreeSlots

@@ -313,7 +313,9 @@ func TestLaneBoundedInLongCascade(t *testing.T) {
 
 // refQueue is the reference model for TestDispatchOrderMatchesReference:
 // a plain list scanned for the minimum (at, sub, seq) live entry at
-// every step, with the same Run/Stop contract as Engine.
+// every step, with the same Run/Stop contract as Engine. sub is the
+// clock value at the scheduling call; the engine keys on (at, seq)
+// alone, and the cross-check proves the two orders agree.
 type refQueue struct {
 	now     Time
 	seq     uint64
@@ -437,9 +439,10 @@ func nestedWorkload(s scheduler, seed int64, log *[]int) (laneStops, halts *int)
 }
 
 // TestDispatchOrderMatchesReference cross-checks the lane-plus-heap
-// queue against a reference that sorts by (at, sub, seq), on schedules
-// that nest +0 and +d events, cancel pending timers (lane entries
-// included) and stop runs mid-instant before resuming them.
+// queue, keyed on (at, seq), against a reference that sorts by
+// (at, sub, seq), on schedules that nest +0 and +d events, cancel
+// pending timers (lane entries included) and stop runs mid-instant
+// before resuming them.
 func TestDispatchOrderMatchesReference(t *testing.T) {
 	for seed := int64(1); seed <= 5; seed++ {
 		e := NewEngine()

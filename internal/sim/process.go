@@ -66,9 +66,8 @@ func (p *Proc) Name() string { return p.name }
 func (p *Proc) Now() Time { return p.eng.Now() }
 
 // resume switches to the process coroutine and returns when the process
-// yields or finishes. Must run in engine context, which may be any
-// goroutine (a Group shard's, say) as long as no two resume the process
-// at once. Resuming a finished or killed process is a no-op.
+// yields or finishes. Must run in engine context. Resuming a finished or
+// killed process is a no-op.
 func (p *Proc) resume() { p.next() }
 
 // yield returns control to the engine. The process must have arranged to
