@@ -451,3 +451,16 @@ func TestBuildAndDrainLeavesNoGoroutines(t *testing.T) {
 		t.Fatalf("%d goroutines after Drain, want at most %d", n, base)
 	}
 }
+
+// BenchmarkClusterBuild prices assembling the default testbed — two
+// dual-socket hosts, their NICs, drivers and per-core rings — which
+// every experiment point pays once. Drain runs outside the timer.
+func BenchmarkClusterBuild(b *testing.B) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		cl := NewCluster(Config{})
+		b.StopTimer()
+		cl.Drain()
+		b.StartTimer()
+	}
+}

@@ -1,9 +1,11 @@
 // Package device provides the building blocks shared by DMA devices
 // (the NIC and the NVMe controller): descriptor rings and completion
-// queues whose entries live in host memory and are touched by both the
-// driver (CPU accesses) and the device (DMA), so that every NUDMA effect
-// on the datapath's metadata — the ~80 ns completion-entry miss of
-// §5.1.1 in particular — falls out of the memory-system model.
+// queues priced as regions of host memory that both the driver (CPU
+// accesses) and the device (DMA) touch, so that every NUDMA effect on
+// the datapath's metadata — the ~80 ns completion-entry miss of §5.1.1
+// in particular — falls out of the memory-system model. Which entries
+// are in flight is the NIC's and the driver's business; a ring only
+// says what touching its entries costs.
 package device
 
 import (
@@ -15,20 +17,16 @@ import (
 	"ioctopus/internal/topology"
 )
 
-// Ring is a cyclic descriptor array in host DRAM with single-producer
-// single-consumer index management. The backing memsys.Buffer carries
-// cache residency, so host reads after device writes cost what the
-// paper measures.
+// Ring is a descriptor ring as a priced memory region: a power-of-two
+// number of fixed-size entries in host DRAM whose backing memsys.Buffer
+// carries cache residency, so host reads after device writes cost what
+// the paper measures. It holds no per-entry state.
 type Ring struct {
 	name      string
 	mem       *memsys.System
 	buf       *memsys.Buffer
 	entries   int
 	entrySize int64
-
-	head  uint64 // produced
-	tail  uint64 // consumed
-	slots []any  // metadata carried alongside each entry
 }
 
 // NewRing allocates a ring of entries*entrySize bytes homed on the given
@@ -50,7 +48,6 @@ func NewRing(mem *memsys.System, name string, home topology.NodeID, entries int,
 		buf:       mem.NewBuffer(name, home, int64(entries)*entrySize).SetRandomAccess(true),
 		entries:   entries,
 		entrySize: entrySize,
-		slots:     make([]any, entries),
 	}
 }
 
@@ -66,61 +63,18 @@ func (r *Ring) EntrySize() int64 { return r.entrySize }
 // Capacity returns the number of entries.
 func (r *Ring) Capacity() int { return r.entries }
 
-// Len returns the number of in-flight (produced, unconsumed) entries.
-func (r *Ring) Len() int { return int(r.head - r.tail) }
-
-// Full reports whether no entries are free.
-func (r *Ring) Full() bool { return r.Len() >= r.entries }
-
-// Empty reports whether no entries are pending.
-func (r *Ring) Empty() bool { return r.head == r.tail }
-
-// Push produces one entry carrying v and returns its slot index.
-func (r *Ring) Push(v any) int {
-	if r.Full() {
-		panic(fmt.Sprintf("device: ring %q overflow", r.name))
-	}
-	idx := int(r.head) & (r.entries - 1)
-	r.slots[idx] = v
-	r.head++
-	return idx
-}
-
-// Pop consumes the oldest entry and returns its metadata.
-func (r *Ring) Pop() (v any, ok bool) {
-	if r.Empty() {
-		return nil, false
-	}
-	idx := int(r.tail) & (r.entries - 1)
-	v = r.slots[idx]
-	r.slots[idx] = nil
-	r.tail++
-	return v, true
-}
-
-// Peek returns the oldest entry without consuming it.
-func (r *Ring) Peek() (v any, ok bool) {
-	if r.Empty() {
-		return nil, false
-	}
-	return r.slots[int(r.tail)&(r.entries-1)], true
-}
-
 // HostWrite charges the CPU cost of a core on `node` writing n
 // descriptor entries (posting requests).
 func (r *Ring) HostWrite(node topology.NodeID, n int) time.Duration {
 	return r.mem.CPUWrite(node, r.buf, int64(n)*r.entrySize)
 }
 
-// HostRead charges the CPU cost of reading n entries one by one — each
-// freshly device-written entry is its own cache line, so per-entry
-// misses accumulate exactly as they do on hardware.
+// HostRead charges the CPU cost of a core on `node` reading n entries
+// one by one. Each freshly device-written entry is its own cache line,
+// so per-entry misses accumulate exactly as they do on hardware; the
+// whole batch is priced by one memsys.CPUReadEntries call.
 func (r *Ring) HostRead(node topology.NodeID, n int) time.Duration {
-	var total time.Duration
-	for i := 0; i < n; i++ {
-		total += r.mem.CPURead(node, r.buf, r.entrySize)
-	}
-	return total
+	return r.mem.CPUReadEntries(node, r.buf, r.entrySize, n)
 }
 
 // DeviceWrite DMA-writes n entries through the endpoint (completion

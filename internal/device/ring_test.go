@@ -1,8 +1,9 @@
 package device
 
 import (
+	"fmt"
 	"testing"
-	"testing/quick"
+	"time"
 
 	"ioctopus/internal/interconnect"
 	"ioctopus/internal/memsys"
@@ -11,65 +12,13 @@ import (
 	"ioctopus/internal/topology"
 )
 
-func newRingRig(t *testing.T) (*sim.Engine, *memsys.System, *pcie.Fabric) {
+func newRingRig(t testing.TB) (*sim.Engine, *memsys.System, *pcie.Fabric) {
 	t.Helper()
 	e := sim.NewEngine()
 	srv := topology.DualBroadwell()
 	fab := interconnect.New(e, srv)
 	mem := memsys.New(e, srv, fab, memsys.DefaultParams())
 	return e, mem, pcie.New(e, mem, pcie.DefaultParams())
-}
-
-func TestRingIndexManagement(t *testing.T) {
-	_, mem, _ := newRingRig(t)
-	r := NewRing(mem, "ring", 0, 8, 64)
-	if !r.Empty() || r.Full() || r.Len() != 0 || r.Capacity() != 8 {
-		t.Fatal("fresh ring state wrong")
-	}
-	for i := 0; i < 8; i++ {
-		r.Push(i)
-	}
-	if !r.Full() || r.Len() != 8 {
-		t.Fatal("full ring state wrong")
-	}
-	for i := 0; i < 8; i++ {
-		v, ok := r.Pop()
-		if !ok || v.(int) != i {
-			t.Fatalf("pop %d = %v/%v", i, v, ok)
-		}
-	}
-	if _, ok := r.Pop(); ok {
-		t.Fatal("pop on empty ring should fail")
-	}
-}
-
-func TestRingWrapsAround(t *testing.T) {
-	_, mem, _ := newRingRig(t)
-	r := NewRing(mem, "ring", 0, 4, 64)
-	for round := 0; round < 10; round++ {
-		for i := 0; i < 3; i++ {
-			r.Push(round*10 + i)
-		}
-		for i := 0; i < 3; i++ {
-			v, _ := r.Pop()
-			if v.(int) != round*10+i {
-				t.Fatalf("round %d: got %v", round, v)
-			}
-		}
-	}
-}
-
-func TestRingOverflowPanics(t *testing.T) {
-	_, mem, _ := newRingRig(t)
-	r := NewRing(mem, "ring", 0, 2, 64)
-	r.Push(1)
-	r.Push(2)
-	defer func() {
-		if recover() == nil {
-			t.Error("overflow should panic")
-		}
-	}()
-	r.Push(3)
 }
 
 func TestRingValidation(t *testing.T) {
@@ -86,22 +35,6 @@ func TestRingValidation(t *testing.T) {
 			}()
 			NewRing(mem, "bad", 0, bad.entries, bad.size)
 		}()
-	}
-}
-
-func TestRingPeek(t *testing.T) {
-	_, mem, _ := newRingRig(t)
-	r := NewRing(mem, "ring", 0, 4, 64)
-	if _, ok := r.Peek(); ok {
-		t.Fatal("peek on empty should fail")
-	}
-	r.Push("a")
-	r.Push("b")
-	if v, _ := r.Peek(); v != "a" {
-		t.Fatalf("peek = %v", v)
-	}
-	if r.Len() != 2 {
-		t.Fatal("peek must not consume")
 	}
 }
 
@@ -158,24 +91,23 @@ func TestRingCompletionMissAfterRemoteWrite(t *testing.T) {
 	}
 }
 
-func TestRingLenInvariant(t *testing.T) {
-	// Property: after any valid push/pop sequence, Len == pushes - pops.
-	_, mem, _ := newRingRig(t)
-	f := func(ops []bool) bool {
-		r := NewRing(mem, "ring", 0, 64, 64)
-		pushes, pops := 0, 0
-		for _, push := range ops {
-			if push && !r.Full() {
-				r.Push(pushes)
-				pushes++
-			} else if !push && !r.Empty() {
-				r.Pop()
-				pops++
+// BenchmarkHostRead prices a driver reading a batch of completion
+// entries from a ring resident in its LLC, the state 74% of the 28.2M
+// entry reads of a serial `-fig all -quick` find: one entry, and 14,
+// about the mean batch a reap reads.
+func BenchmarkHostRead(b *testing.B) {
+	for _, n := range []int{1, 14} {
+		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
+			_, mem, _ := newRingRig(b)
+			r := NewRing(mem, "rxc", 0, 1024, 64)
+			r.HostRead(0, r.Capacity())
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				sinkDuration = r.HostRead(0, n)
 			}
-		}
-		return r.Len() == pushes-pops
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Fatal(err)
+		})
 	}
 }
+
+var sinkDuration time.Duration

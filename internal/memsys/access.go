@@ -33,9 +33,10 @@ func (s *System) CPURead(node topology.NodeID, b *Buffer, n int64) time.Duration
 		}
 	}
 	miss := n - hits
-	if miss > 0 && miss < 64 && b.cached >= b.size-64 {
-		// The buffer is fully resident up to sub-cacheline dust; the
-		// fractional remainder is an estimator artifact, not a fetch.
+	if miss > 0 && miss < 64 && b.node == node && b.cached >= b.size-64 {
+		// The buffer is fully resident here up to sub-cacheline dust;
+		// the fractional remainder is an estimator artifact, not a
+		// fetch. (Residency elsewhere is a cache-to-cache miss below.)
 		hits += miss
 		miss = 0
 	}
@@ -81,6 +82,41 @@ func (s *System) CPURead(node topology.NodeID, b *Buffer, n int64) time.Duration
 	return cost
 }
 
+// CPUReadEntries charges a core on `node` reading n entries of `entry`
+// bytes one by one, as a driver consumes ring entries, and returns the
+// summed cost. Result and side effects equal n CPURead(node, b, entry)
+// calls.
+//
+// Entries go through CPURead while b is not fully resident in node's
+// LLC. Once b.node == node and b.cached >= b.size-64, each remaining
+// read is a full hit, and the rest are charged at once: k·(HitLatency +
+// entry at CopyBWLLC), k·entry LLC-hit bytes (exact in float64: both
+// are integers) and one LRU touch, which is what k touches at one
+// instant amount to. The full-hit claim needs entry <= 64 (one line)
+// and a buffer of more than two lines: then a random-access hit
+// estimate exceeds half the entry, pollution leaves at least 5% of that
+// (at least one byte), and CPURead's sub-cacheline rule counts the
+// remainder as a hit. Other shapes always take the loop.
+func (s *System) CPUReadEntries(node topology.NodeID, b *Buffer, entry int64, n int) time.Duration {
+	if entry <= 0 || n <= 0 {
+		return 0
+	}
+	batch := entry <= 64 && b.size > 128
+	var cost time.Duration
+	for ; n > 0; n-- {
+		if batch && b.node == node && b.cached >= b.size-64 {
+			nm := s.node(node)
+			k := int64(n)
+			nm.stats.LLCHitBytes += float64(k * entry)
+			cost += time.Duration(k) * (nm.llc.spec.HitLatency + bytesAt(entry, s.params.CopyBWLLC))
+			nm.llc.touch(b, s.eng.Now())
+			return cost
+		}
+		cost += s.CPURead(node, b, entry)
+	}
+	return cost
+}
+
 // CPUWrite models a core on `node` writing n bytes into the buffer and
 // returns the core-time cost. The written range becomes dirty in the
 // writer's LLC; copies on other sockets are invalidated (with writeback
@@ -107,7 +143,7 @@ func (s *System) CPUWrite(node topology.NodeID, b *Buffer, n int64) time.Duratio
 		hits = b.hitBytesFor(n)
 	}
 	miss := n - hits
-	if miss > 0 && miss < 64 && b.cached >= b.size-64 {
+	if miss > 0 && miss < 64 && b.node == node && b.cached >= b.size-64 {
 		hits += miss
 		miss = 0
 	}

@@ -11,7 +11,7 @@ import (
 
 // op is one randomized memory-system operation.
 type op struct {
-	Kind  uint8 // read/write x cpu/device
+	Kind  uint8 // read/write x cpu/device, or a batched entry read
 	Node  uint8
 	Buf   uint8
 	Bytes uint16
@@ -34,7 +34,7 @@ func applyOps(ops []op) (*System, []*Buffer) {
 		b := bufs[int(o.Buf)%len(bufs)]
 		node := topology.NodeID(o.Node % 2)
 		n := int64(o.Bytes)
-		switch o.Kind % 4 {
+		switch o.Kind % 5 {
 		case 0:
 			s.CPURead(node, b, n)
 		case 1:
@@ -43,6 +43,9 @@ func applyOps(ops []op) (*System, []*Buffer) {
 			s.DeviceRead(node, b, n)
 		case 3:
 			s.DeviceWrite(node, b, n)
+		case 4:
+			// A batch of ring-entry reads, entries up to 1.5 lines wide.
+			s.CPUReadEntries(node, b, n%96+1, int(o.Kind/5)%48+1)
 		}
 	}
 	return s, bufs
@@ -85,6 +88,9 @@ func TestResidencyInvariants(t *testing.T) {
 				}
 			}
 			if l.main.used != main || l.ddio.used != ddio {
+				return false
+			}
+			if !lruConsistent(l, topology.NodeID(n)) {
 				return false
 			}
 			// Occupancy never exceeds capacity.
@@ -149,4 +155,25 @@ func TestHitNeverExceedsAccess(t *testing.T) {
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// lruConsistent reports whether both of l's partitions list exactly
+// count buffers, each resident at node in that partition, with
+// back-links that mirror the forward ones.
+func lruConsistent(l *llc, node topology.NodeID) bool {
+	for _, ddio := range []bool{false, true} {
+		part := l.list(ddio)
+		var prev *Buffer
+		b := part.head
+		for i := 0; i < part.count; i++ {
+			if b == nil || b.prev != prev || b.node != node || b.ddio != ddio {
+				return false
+			}
+			prev, b = b, b.next
+		}
+		if b != nil || part.tail != prev {
+			return false
+		}
+	}
+	return true
 }

@@ -10,7 +10,7 @@ import (
 )
 
 // newSys builds a dual-Broadwell memory system for tests.
-func newSys(t *testing.T) (*sim.Engine, *System) {
+func newSys(t testing.TB) (*sim.Engine, *System) {
 	t.Helper()
 	e := sim.NewEngine()
 	srv := topology.DualBroadwell()
@@ -231,6 +231,40 @@ func TestCacheToCacheReadMigratesResidency(t *testing.T) {
 	}
 }
 
+// TestSubLineAccessOutsideResidency: the sub-cacheline hit rule covers
+// only a buffer resident in the accessor's own LLC. A short read of a
+// buffer cached on the other socket is a cache-to-cache miss that moves
+// it, and a short access to an uncached one-line buffer fetches it;
+// neither may splice the buffer into an LLC that does not hold it.
+func TestSubLineAccessOutsideResidency(t *testing.T) {
+	_, s := newSys(t)
+	b := s.NewBuffer("msg", 0, 4096)
+	s.CPUWrite(0, b, 4096)
+	s.ResetStats()
+	s.CPURead(1, b, 32)
+	if b.CachedAt() != 1 || s.Stats(1).LLCMissBytes != 32 || s.Stats(1).LLCHitBytes != 0 {
+		t.Fatalf("short remote read: cached at %d, stats %+v; want a 32-byte miss that moves it to 1",
+			b.CachedAt(), s.Stats(1))
+	}
+	flag := s.NewBuffer("flag", 0, 64)
+	s.ResetStats()
+	s.CPURead(0, flag, 8)
+	if flag.CachedAt() != 0 || s.Stats(0).DRAMReadBytes != 8 {
+		t.Fatalf("short read of uncached line: cached at %d, stats %+v; want an 8-byte DRAM fetch",
+			flag.CachedAt(), s.Stats(0))
+	}
+	word := s.NewBuffer("word", 1, 32)
+	s.CPUWrite(1, word, 8)
+	if word.CachedAt() != 1 {
+		t.Fatalf("short write of uncached line: cached at %d, want 1", word.CachedAt())
+	}
+	for n := topology.NodeID(0); n < 2; n++ {
+		if !lruConsistent(s.node(n).llc, n) {
+			t.Fatalf("node %d LRU lists hold buffers not resident there", n)
+		}
+	}
+}
+
 func TestLLCEvictionUnderCapacity(t *testing.T) {
 	_, s := newSys(t)
 	// Fill node 0's main partition (31.5 MiB effective) with 2 MiB
@@ -378,3 +412,32 @@ func TestNewBufferValidation(t *testing.T) {
 	}()
 	s.NewBuffer("bad", 0, 0)
 }
+
+// BenchmarkCPURead prices one 64-byte CPU read, the size of a ring
+// entry: a hit on a buffer resident in the reader's LLC, and a cold miss
+// on the same buffer after it has been dropped from every cache (the
+// drop is a clean buffer's unlink, no writeback).
+func BenchmarkCPURead(b *testing.B) {
+	b.Run("hit", func(b *testing.B) {
+		_, s := newSys(b)
+		buf := s.NewBuffer("ring", 0, 64*1024).SetRandomAccess(true)
+		s.CPURead(0, buf, buf.Size())
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			sinkDuration = s.CPURead(0, buf, 64)
+		}
+	})
+	b.Run("miss", func(b *testing.B) {
+		_, s := newSys(b)
+		buf := s.NewBuffer("ring", 0, 64*1024).SetRandomAccess(true)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			sinkDuration = s.CPURead(0, buf, 64)
+			s.invalidate(buf)
+		}
+	})
+}
+
+var sinkDuration time.Duration

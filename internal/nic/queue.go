@@ -42,7 +42,7 @@ type RxPacket struct {
 // the packet buffer; write the completion entries.
 func (rxp *RxPacket) runPayloadDone() {
 	q := rxp.Queue
-	q.pf.ep.DMAWrite(q.compRing.Buffer(), int64(rxp.Packets)*q.pf.nic.params.DescBytes, rxp.compDone)
+	q.compRing.DeviceWrite(q.pf.ep, rxp.Packets, rxp.compDone)
 }
 
 // runCompDone is stage 3: the completion writeback is observable; the
@@ -521,7 +521,7 @@ func (q *TxQueue) transmit(pkt *TxPacket) {
 	if !q.pf.linkUp {
 		pkt.Dropped = true
 		q.pf.txLinkDrops++
-		q.pf.ep.DMAWrite(q.compRing.Buffer(), int64(max(1, pkt.Packets))*nic.params.DescBytes, pkt.compDone)
+		q.compRing.DeviceWrite(q.pf.ep, max(1, pkt.Packets), pkt.compDone)
 		return
 	}
 	src := q.pf.mac
@@ -539,7 +539,7 @@ func (q *TxQueue) transmit(pkt *TxPacket) {
 	nic.wire.Send(nic, frame)
 	q.pf.txBytes += float64(pkt.Payload)
 	// Completion writeback for the segment's packets.
-	q.pf.ep.DMAWrite(q.compRing.Buffer(), int64(frame.Packets)*nic.params.DescBytes, pkt.compDone)
+	q.compRing.DeviceWrite(q.pf.ep, frame.Packets, pkt.compDone)
 }
 
 // completedPending returns completions awaiting the driver's reap.

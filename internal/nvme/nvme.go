@@ -214,7 +214,7 @@ func (qp *QueuePair) Submit(req *Request) {
 // complete writes the CQE and raises the interrupt (moderated).
 func (qp *QueuePair) complete(req *Request) {
 	c := qp.port.ctrl
-	qp.port.ep.DMAWrite(qp.cq.Buffer(), c.params.DescBytes, func() {
+	qp.cq.DeviceWrite(qp.port.ep, 1, func() {
 		req.CompletedAt = c.eng.Now()
 		if req.Write {
 			c.writes++

@@ -88,14 +88,21 @@ bp_max="$(sed -n 's/.*"BenchmarkBusyPollPath_max_allocs_per_op": *\([0-9]*\).*/\
 cd_max="$(sed -n 's/.*"BenchmarkCoreDispatch_max_allocs_per_op": *\([0-9]*\).*/\1/p' BENCH_sim.json)"
 ph_max="$(sed -n 's/.*"BenchmarkProcHandoff_max_allocs_per_op": *\([0-9]*\).*/\1/p' BENCH_sim.json)"
 ed_max="$(sed -n 's/.*"BenchmarkEngineDispatch_max_allocs_per_op": *\([0-9]*\).*/\1/p' BENCH_sim.json)"
-if test -z "$evr_max" || test -z "$pp_max" || test -z "$bp_max" || test -z "$cd_max" || test -z "$ph_max" || test -z "$ed_max"; then
+cr_max="$(sed -n 's/.*"BenchmarkCPURead_max_allocs_per_op": *\([0-9]*\).*/\1/p' BENCH_sim.json)"
+hr_max="$(sed -n 's/.*"BenchmarkHostRead_max_allocs_per_op": *\([0-9]*\).*/\1/p' BENCH_sim.json)"
+cb_max="$(sed -n 's/.*"BenchmarkClusterBuild_max_allocs_per_op": *\([0-9]*\).*/\1/p' BENCH_sim.json)"
+if test -z "$evr_max" || test -z "$pp_max" || test -z "$bp_max" || test -z "$cd_max" || test -z "$ph_max" || test -z "$ed_max" ||
+    test -z "$cr_max" || test -z "$hr_max" || test -z "$cb_max"; then
     echo "check.sh: BENCH_sim.json is missing its gate keys" \
         "(BenchmarkSimulatorEventRate_max_allocs_per_op," \
         "BenchmarkPacketPath_max_allocs_per_op," \
         "BenchmarkBusyPollPath_max_allocs_per_op," \
         "BenchmarkCoreDispatch_max_allocs_per_op," \
         "BenchmarkProcHandoff_max_allocs_per_op," \
-        "BenchmarkEngineDispatch_max_allocs_per_op); regenerate with" \
+        "BenchmarkEngineDispatch_max_allocs_per_op," \
+        "BenchmarkCPURead_max_allocs_per_op," \
+        "BenchmarkHostRead_max_allocs_per_op," \
+        "BenchmarkClusterBuild_max_allocs_per_op); regenerate with" \
         "'make bench' and restore the gate section" >&2
     exit 1
 fi
@@ -137,3 +144,24 @@ awk -v ph_max="$ph_max" -v ed_max="$ed_max" '
     if (!seen_ph || !seen_zd || !seen_td) { print "bench gate: sim benchmark output missing"; bad = 1 }
     exit bad
   }' "$tmp/bench_sim.txt"
+# The memory-system cost layer is gated the same way: one CPU read (LLC
+# hit and cold miss) and one batch of ring-entry reads (1 and 14
+# entries) allocate nothing. Cluster construction allocates by design;
+# its bar keeps per-entry ring state from coming back.
+go test -run '^$' -bench 'BenchmarkCPURead$|BenchmarkHostRead$|BenchmarkClusterBuild$' -benchtime 100x -benchmem \
+    ./internal/memsys ./internal/device ./internal/core | tee "$tmp/bench_mem.txt"
+awk -v cr_max="$cr_max" -v hr_max="$hr_max" -v cb_max="$cb_max" '
+  /^BenchmarkCPURead\/hit/ { seen_crh = 1 }
+  /^BenchmarkCPURead\/miss/ { seen_crm = 1 }
+  /^BenchmarkCPURead\// { a = $(NF-1) + 0
+    if (a > cr_max) { printf "bench gate: %s %d allocs/op > %d\n", $1, a, cr_max; bad = 1 } }
+  /^BenchmarkHostRead\/n=1-/ { seen_hr1 = 1 }
+  /^BenchmarkHostRead\/n=14-/ { seen_hr14 = 1 }
+  /^BenchmarkHostRead\// { a = $(NF-1) + 0
+    if (a > hr_max) { printf "bench gate: %s %d allocs/op > %d\n", $1, a, hr_max; bad = 1 } }
+  /^BenchmarkClusterBuild/ { seen_cb = 1; a = $(NF-1) + 0
+    if (a > cb_max) { printf "bench gate: ClusterBuild %d allocs/op > %d\n", a, cb_max; bad = 1 } }
+  END {
+    if (!seen_crh || !seen_crm || !seen_hr1 || !seen_hr14 || !seen_cb) { print "bench gate: memsys/device/core benchmark output missing"; bad = 1 }
+    exit bad
+  }' "$tmp/bench_mem.txt"
